@@ -6,8 +6,10 @@ carrying its operands instead of silently continuing.  Fractions are
 reduced eagerly, which makes equality structural.
 
 Primality is deterministic (trial division backed by a fixed Miller-Rabin
-witness set), factorization is trial division against a cached, growable
-prime table.  Both are exact; neither is probabilistic.
+witness set).  Factorization trial-divides by the primes up to 1000 and
+splits any larger cofactor with Pollard-Brent rho, using that primality
+test to stop; rho's constants are fixed, so results and running times are
+reproducible.  Both are exact; neither is probabilistic.
 """
 
 from __future__ import annotations
@@ -140,11 +142,73 @@ class Factorization:
         return tuple(p for p, _ in self.pairs)
 
 
+def _miller_rabin(n: int) -> bool:
+    """Miller-Rabin against the fixed witnesses; exact for odd 1000**2 < n < bound."""
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A nontrivial factor of the odd composite n (Brent, BIT 20, 1980).
+
+    The iteration is y -> y*y + c from y = 2, with c = 1, 2, ... taken in
+    turn until one splits n; gcds are batched over 128 steps.
+    """
+    for c in range(1, n):
+        x = y = ys = 2
+        r = q = g = 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = _math_gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = _math_gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise ArithmeticError(f"rho found no factor of {n}")
+
+
+def _split(m: int, out: list[int]) -> None:
+    """Append the prime factors of m, which has none <= _TRIAL_BOUND, to out."""
+    if m < (_TRIAL_BOUND + 1) ** 2 or _miller_rabin(m):
+        out.append(m)
+        return
+    d = _rho_factor(m)
+    _split(d, out)
+    _split(m // d, out)
+
+
 @lru_cache(maxsize=1 << 16)
 def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
     m = n
     pairs: list[tuple[int, int]] = []
-    for p in iter_primes():
+    for p in primes_up_to(_TRIAL_BOUND):
         if p * p > m:
             break
         if m % p == 0:
@@ -153,16 +217,29 @@ def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
                 m //= p
                 e += 1
             pairs.append((p, e))
+    if m >= _MR_EXACT_BOUND:
+        raise ValueError(
+            f"factorize: cofactor {m} of {n} exceeds the deterministic primality range"
+        )
+    large: list[int] = []
     if m > 1:
-        pairs.append((m, 1))
+        _split(m, large)
+    for p in sorted(large):
+        if pairs and pairs[-1][0] == p:
+            pairs[-1] = (p, pairs[-1][1] + 1)
+        else:
+            pairs.append((p, 1))
     return tuple(pairs)
 
 
 def factorize(n: int) -> Factorization:
-    """Prime factorization by trial division; deterministic and exact.
+    """Prime factorization; deterministic and exact.
 
-    Practical for n whose second-largest prime factor fits a sieve, i.e.
-    everything sweep-scale; not meant for cryptographic sizes.
+    Trial division by the primes up to 1000, then Pollard-Brent rho on
+    whatever cofactor is left, with is_prime's fixed witnesses deciding
+    when a piece is prime.  Raises ValueError, naming the value, when that
+    cofactor is at or above the witnesses' proven bound (about 3.3e24)
+    rather than guess; every n below that bound is factored.
     """
     if n < 2:
         raise ValueError(f"factorize expects n >= 2, got {n}")
@@ -204,22 +281,7 @@ def is_prime(n: int) -> bool:
         return True
     if n >= _MR_EXACT_BOUND:
         raise ValueError(f"is_prime: {n} exceeds the deterministic witness range")
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return _miller_rabin(n)
 
 
 def unit_sum(xs: Sequence[int]) -> Fraction:
@@ -230,8 +292,10 @@ def unit_sum(xs: Sequence[int]) -> Fraction:
     for x in xs:
         if x < 1:
             raise ValueError(f"unit fractions need positive denominators, got {x}")
-        num = checked_add(checked_mul(num, x), den)
-        den = checked_mul(den, x)
+        # the running denominator stays at the lcm of the parts so far
+        g = _math_gcd(den, x)
+        num = checked_add(checked_mul(num, x // g), den // g)
+        den = checked_mul(den // g, x)
         g = _math_gcd(num, den)
         num //= g
         den //= g

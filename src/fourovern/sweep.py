@@ -89,14 +89,15 @@ def classify_hard(n: int) -> bool:
     """True iff every prime divisor of n is congruent to 1 mod 24.
 
     These n are the ones no constructive path reaches; membership is
-    always recomputed from the factorization, never tabulated.
+    always recomputed, never tabulated.  Products of primes that are
+    1 mod 24 stay 1 mod 24, so any other residue is answered False
+    without factoring; only n = 1 (mod 24) is factorized.
     """
     if n < 2:
         raise ValueError(f"classify_hard expects n >= 2, got {n}")
-    hard = all(p % 24 == 1 for p, _ in factorize(n).pairs)
-    # products of primes that are 1 mod 24 stay 1 mod 24
-    assert not hard or n % 24 == 1, n
-    return hard
+    if n % 24 != 1:
+        return False
+    return all(p % 24 == 1 for p, _ in factorize(n).pairs)
 
 
 def _solved(n: int, triple: UnitTriple, method: Method, hard: bool) -> SweepRecord:

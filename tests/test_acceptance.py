@@ -5,6 +5,7 @@ check is done against stdlib fractions, independent of the package's own
 rational arithmetic.  Run with -s to see the per-criterion lines.
 """
 
+import hashlib
 import time
 import warnings
 from fractions import Fraction as PyFraction
@@ -21,6 +22,9 @@ from fourovern.oracle import (
 from fourovern.sweep import SweepConfig, Status, classify_hard, emit_report, solve, sweep_range
 from fourovern.triples import Method
 from fourovern.two_term import enumerate_two_term, solve_two_term
+
+# sha256 of the CSV report for the sweep [3, 1e5]
+REFERENCE_CSV_SHA256 = "d1f31791d74d27be4043b84607ec2c5aeddc235e19853061768463ff1f491436"
 
 PRIMES_TO_500 = [p for p in range(2, 501) if all(p % d for d in range(2, p))]
 
@@ -154,6 +158,8 @@ def test_criterion_6_full_sweep(tmp_path):
     emit_report(records, "csv", solo_report)
     emit_report(multi, "csv", multi_report)
     assert solo_report.read_bytes() == multi_report.read_bytes()
+    # the reference report's bytes, which also pin method attribution
+    assert hashlib.sha256(solo_report.read_bytes()).hexdigest() == REFERENCE_CSV_SHA256
 
     # a resumed interrupted run matches an uninterrupted one
     ck = tmp_path / "sweep.jsonl"

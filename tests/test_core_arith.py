@@ -1,8 +1,9 @@
 import math
+import random
 from fractions import Fraction as PyFraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourovern.core_arith import (
@@ -142,6 +143,61 @@ class TestFactorize:
     def test_reconstructs_random(self, n):
         assert factorize(n).reconstruct() == n
 
+    @staticmethod
+    def _trial_division(n):
+        pairs, p = [], 2
+        while p * p <= n:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if e:
+                pairs.append((p, e))
+            p += 1
+        if n > 1:
+            pairs.append((n, 1))
+        return tuple(pairs)
+
+    @given(st.integers(2, 10**9))
+    @example(1009**2)
+    @example(1009**3)
+    @example(997 * 1009 * 1013)
+    @example(999983 * 999979)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_trial_division(self, n):
+        assert factorize(n).pairs == self._trial_division(n)
+
+    @given(st.integers(2, 2**63 - 1))
+    @example(1009**2)
+    @example(1009**3)
+    @example((10**9 + 7) ** 2)
+    @example((10**6 + 3) ** 3)
+    @example((2**31 - 1) * (2**31 + 11))
+    @example(2**61 - 1)
+    @example(2**62 - 1)
+    @settings(max_examples=100, deadline=None)
+    def test_large_values_are_complete(self, n):
+        fac = factorize(n)
+        ps = fac.primes()
+        assert fac.reconstruct() == n
+        assert all(is_prime(p) for p in ps)
+        assert all(a < b for a, b in zip(ps, ps[1:]))
+
+    def test_prime_powers_past_trial_bound(self):
+        assert factorize(1009**3).pairs == ((1009, 3),)
+        assert factorize((10**9 + 7) ** 2).pairs == ((10**9 + 7, 2),)
+
+    def test_cofactor_beyond_witness_range_raises(self):
+        # no factor <= 1000 and a cofactor past is_prime's proven bound
+        n = (10**9 + 7) ** 2 * (10**9 + 9)
+        with pytest.raises(ValueError, match=str(n)):
+            factorize(n)
+
+    def test_small_factors_bring_cofactor_into_range(self):
+        n = 2**10 * 997**5 * (2**61 - 1)
+        assert n > 3_317_044_064_679_887_385_961_981
+        assert factorize(n).pairs == ((2, 10), (997, 5), (2**61 - 1, 1))
+
 
 class TestIsPrime:
     @pytest.mark.parametrize(
@@ -202,11 +258,35 @@ class TestUnitSum:
         with pytest.raises(CheckedOverflowError):
             unit_sum([2**80, 2**80 - 1])
 
+    def test_intermediates_stay_at_lcm_size(self):
+        # the exact sum's denominator has 125 bits; a running product of
+        # the parts would pass 2**127 long before the end
+        xs = [241, 21960, 50867, 58643, 388237, 579539, 674771, 70986]
+        got = unit_sum(xs)
+        want = sum(PyFraction(1, x) for x in xs)
+        assert (got.num, got.den) == (want.numerator, want.denominator)
+
     @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=8), st.randoms())
+    @example(
+        xs=[241, 21960, 50867, 58643, 388237, 579539, 674771, 70986],
+        rng=random.Random(0),
+    )
     def test_permutation_invariant(self, xs, rng):
+        # Every intermediate is at most len(xs) * lcm(xs), so below 2**127
+        # no order may overflow.  Above it an order may overflow, but any
+        # order that returns must return the exact sum.
         shuffled = list(xs)
         rng.shuffle(shuffled)
-        assert unit_sum(xs) == unit_sum(shuffled)
+        if len(xs) * math.lcm(*xs) < 2**127:
+            assert unit_sum(xs) == unit_sum(shuffled)
+            return
+        want = sum(PyFraction(1, x) for x in xs)
+        for order in (xs, shuffled):
+            try:
+                got = unit_sum(order)
+            except CheckedOverflowError:
+                continue
+            assert (got.num, got.den) == (want.numerator, want.denominator)
 
     @given(st.lists(st.integers(1, 10**4), min_size=1, max_size=6))
     def test_matches_stdlib_fractions(self, xs):
