@@ -9,7 +9,6 @@ from .core_arith import (
     INT128_MAX,
     INT128_MIN,
     CheckedOverflowError,
-    Factorization,
     Fraction,
     checked_add,
     checked_mul,
@@ -34,9 +33,7 @@ from .construct_th2 import (
 from .construct_th34 import (
     DEFAULT_K_BOUND,
     HypothesisViolation,
-    HypothesisWarning,
     Th3Params,
-    has_divisor_3_mod_4,
     theorem3_construct,
     theorem3_search,
     theorem4_construct,
@@ -73,10 +70,8 @@ __all__ = [
     "CheckedOverflowError",
     "ConstructionError",
     "DEFAULT_K_BOUND",
-    "Factorization",
     "Fraction",
     "HypothesisViolation",
-    "HypothesisWarning",
     "Method",
     "OracleBudgetError",
     "OracleQuery",
@@ -99,7 +94,6 @@ __all__ = [
     "factorize",
     "first_solution",
     "gcd",
-    "has_divisor_3_mod_4",
     "is_prime",
     "lift_by_cofactor",
     "load_report",

@@ -12,10 +12,12 @@ import json
 import sys
 from pathlib import Path
 
+from .construct_th34 import DEFAULT_K_BOUND
 from .core_arith import CheckedOverflowError, is_prime
 from .oracle import OracleQuery, enumerate_three_term
 from .sweep import (
     SweepConfig,
+    SweepRecord,
     Status,
     emit_report,
     load_report,
@@ -23,7 +25,7 @@ from .sweep import (
     record_to_obj,
     solve,
     sweep_range,
-    _record_to_csv_row,
+    write_report,
 )
 from .two_term import solve_two_term
 
@@ -102,6 +104,15 @@ def _probe_writable(path: str) -> None:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 
 
+def _tally(records: list[SweepRecord]) -> tuple[int, int, int, int]:
+    """Counts of solved, no-distinct, error and hard records."""
+    solved = sum(r.status is Status.SOLVED for r in records)
+    missing = sum(r.status is Status.NO_DISTINCT_SOLUTION for r in records)
+    errors = sum(r.status is Status.ERROR for r in records)
+    hard = sum(r.hard for r in records)
+    return solved, missing, errors, hard
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = SweepConfig(
         start=args.start,
@@ -109,35 +120,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers,
         k_bound=args.k_bound,
         checkpoint_path=args.checkpoint,
-        report_format=args.format,
     )
     if args.report:
         _probe_writable(args.report)
     records = sweep_range(config)
     if args.report:
         emit_report(records, args.format, args.report)
-        solved = sum(r.status is Status.SOLVED for r in records)
-        missing = sum(r.status is Status.NO_DISTINCT_SOLUTION for r in records)
-        errors = sum(r.status is Status.ERROR for r in records)
-        hard = sum(r.hard for r in records)
+        solved, missing, errors, hard = _tally(records)
         print(
             f"{len(records)} records -> {args.report}"
             f" (solved {solved}, no-distinct {missing}, errors {errors}, hard {hard})"
         )
-    elif args.format == "json":
-        print(json.dumps([record_to_obj(r) for r in records], indent=1))
     else:
-        for rec in records:
-            print(",".join(_record_to_csv_row(rec)))
+        write_report(records, args.format, sys.stdout)
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     records = load_report(args.report_path)
-    solved = sum(r.status is Status.SOLVED for r in records)
-    missing = sum(r.status is Status.NO_DISTINCT_SOLUTION for r in records)
-    errors = sum(r.status is Status.ERROR for r in records)
-    hard = sum(r.hard for r in records)
+    solved, missing, errors, hard = _tally(records)
     print(
         f"records: {len(records)}  solved: {solved}  no-distinct: {missing}"
         f"  errors: {errors}  hard: {hard}"
@@ -158,7 +159,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="solve 4/n and print the construction used")
     p.add_argument("n", type=int)
-    p.add_argument("--k-bound", type=int, default=999, help="witness search bound on odd k")
+    p.add_argument(
+        "--k-bound", type=int, default=DEFAULT_K_BOUND, help="witness search bound on odd k"
+    )
     p.add_argument("--json", action="store_true", help="print the record as JSON")
     p.set_defaults(func=_cmd_decompose)
 
@@ -185,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None, help="JSON-lines checkpoint path (resumable)")
     p.add_argument("--report", default=None, help="report destination (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--k-bound", type=int, default=999)
+    p.add_argument("--k-bound", type=int, default=DEFAULT_K_BOUND)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("stats", help="method histogram and hard-class count of a report")

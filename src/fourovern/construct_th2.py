@@ -134,7 +134,7 @@ def theorem2_dispatch(n: int) -> tuple[UnitTriple, Method] | None:
     t = _closed_form(n)
     if t is not None:
         return t, t.method
-    for p, _ in factorize(n).pairs:
+    for p, _ in factorize(n):
         if p % 24 == 1:
             continue
         base = _construct_for_prime(p)

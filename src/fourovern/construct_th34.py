@@ -11,18 +11,17 @@ follows, with distinct parts whenever n has no divisor congruent to 3 mod
 specialize k to a divisor d of n, where the congruence holds for free and
 only delta + d needs a qualifying m.
 
-The no-divisor-3-mod-4 hypothesis is advisory: it is checked and reported
-as a warning, but acceptance always rests on the exact-sum and
-distinctness validation of the built triple.
+The no-divisor-3-mod-4 hypothesis is not checked.  Acceptance rests on
+the exact-sum and distinctness validation of the built triple alone, so a
+witness for an n outside the hypothesis either validates or is rejected.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core_arith import checked_mul, divisors, factorize
+from .core_arith import checked_mul, divisors
 from .triples import ConstructionError, Method, UnitTriple, make_triple
 
 DEFAULT_K_BOUND = 999
@@ -30,10 +29,6 @@ DEFAULT_K_BOUND = 999
 
 class HypothesisViolation(ValueError):
     """A witness tuple breaks one of the construction's requirements."""
-
-
-class HypothesisWarning(UserWarning):
-    """n has a divisor 3 (mod 4); the construction is validated numerically anyway."""
 
 
 @dataclass(frozen=True)
@@ -53,29 +48,6 @@ class Th3Params:
         if (delta + k) % m:
             raise HypothesisViolation(f"m={m} does not divide delta+k={delta + k}")
         return cls(delta, k, m, (delta + k) // m, (m + 1) // 4)
-
-
-def has_divisor_3_mod_4(n: int) -> bool:
-    """True iff some divisor of n is 3 (mod 4).
-
-    Equivalent to having a prime divisor 3 (mod 4): a product of odd primes
-    all 1 (mod 4) stays 1 (mod 4).
-    """
-    if n < 1:
-        raise ValueError(f"expected positive n, got {n}")
-    if n == 1:
-        return False
-    return any(p % 4 == 3 for p, _ in factorize(n).pairs)
-
-
-def _warn_hypothesis(n: int) -> None:
-    if has_divisor_3_mod_4(n):
-        warnings.warn(
-            f"n={n} has a divisor congruent to 3 mod 4; the witness construction"
-            " is outside its stated hypothesis and may fail distinctness",
-            HypothesisWarning,
-            stacklevel=3,
-        )
 
 
 def _validate(n: int, w: Th3Params) -> None:
@@ -109,11 +81,10 @@ def theorem3_construct(n: int, params: Th3Params) -> UnitTriple:
     """Build and validate the triple (a*t*n/k, a*t*(n/delta), t*n) for 4/n.
 
     Violated witness requirements raise HypothesisViolation; a built triple
-    with repeated parts raises ConstructionError (under the stated
-    hypothesis that cannot happen, so seeing it would disprove the
-    construction rather than the input).
+    with repeated parts raises ConstructionError.  When n has no divisor
+    3 (mod 4) that cannot happen; outside that hypothesis (n = 3, say) it
+    can, and the error is raised instead of a triple being returned.
     """
-    _warn_hypothesis(n)
     return _construct(n, params, Method.THEOREM_3_SEARCH)
 
 
@@ -137,7 +108,6 @@ def theorem3_search(
         raise ValueError(f"theorem3_search needs odd n >= 3, got {n}")
     if k_bound < 1:
         raise ValueError(f"k_bound must be positive, got {k_bound}")
-    _warn_hypothesis(n)
     for delta in divisors(n):
         for k in range(1, k_bound + 1, 2):
             for m in _m_candidates(delta + k):
@@ -172,7 +142,6 @@ def theorem4_construct(n: int, delta: int, d: int) -> tuple[UnitTriple, Th3Param
         raise HypothesisViolation(f"n must be odd and positive, got {n}")
     if delta < 1 or n % delta or d < 1 or n % d:
         raise HypothesisViolation(f"delta={delta} and d={d} must divide n={n}")
-    _warn_hypothesis(n)
     return _theorem4_attempt(n, delta, d)
 
 
@@ -181,7 +150,6 @@ def theorem4_search(n: int) -> tuple[UnitTriple, Th3Params] | None:
     whose sum admits a qualifying m and whose triple validates."""
     if n < 3 or n % 2 == 0:
         raise ValueError(f"theorem4_search needs odd n >= 3, got {n}")
-    _warn_hypothesis(n)
     divs = divisors(n)
     for delta in divs:
         for d in divs:

@@ -6,7 +6,7 @@ carrying its operands instead of silently continuing.  Fractions are
 reduced eagerly, which makes equality structural.
 
 Primality is deterministic (trial division backed by a fixed Miller-Rabin
-witness set).  Factorization trial-divides by the primes up to 1000 and
+witness set).  Factoring trial-divides by the primes up to 1000 and
 splits any larger cofactor with Pollard-Brent rho, using that primality
 test to stop; rho's constants are fixed, so results and running times are
 reproducible.  Both are exact; neither is probabilistic.
@@ -126,22 +126,6 @@ def iter_primes() -> Iterator[int]:
 # ---------------------------------------------------------------------------
 # factorization, divisors, primality
 
-@dataclass(frozen=True)
-class Factorization:
-    """Complete prime factorization as ascending (prime, exponent) pairs."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def reconstruct(self) -> int:
-        out = 1
-        for p, e in self.pairs:
-            out = checked_mul(out, p**e)
-        return out
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
-
-
 def _miller_rabin(n: int) -> bool:
     """Miller-Rabin against the fixed witnesses; exact for odd 1000**2 < n < bound."""
     d = n - 1
@@ -232,8 +216,8 @@ def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def factorize(n: int) -> Factorization:
-    """Prime factorization; deterministic and exact.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Ascending (prime, exponent) pairs of n; deterministic and exact.
 
     Trial division by the primes up to 1000, then Pollard-Brent rho on
     whatever cofactor is left, with is_prime's fixed witnesses deciding
@@ -243,7 +227,7 @@ def factorize(n: int) -> Factorization:
     """
     if n < 2:
         raise ValueError(f"factorize expects n >= 2, got {n}")
-    return Factorization(_factor_pairs(n))
+    return _factor_pairs(n)
 
 
 def divisors(n: int) -> list[int]:

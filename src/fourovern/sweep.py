@@ -17,20 +17,14 @@ from __future__ import annotations
 import csv
 import json
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 from .construct_th2 import theorem2_dispatch
-from .construct_th34 import (
-    DEFAULT_K_BOUND,
-    HypothesisWarning,
-    theorem3_search,
-    theorem4_search,
-)
+from .construct_th34 import DEFAULT_K_BOUND, theorem3_search, theorem4_search
 from .core_arith import CheckedOverflowError, factorize
 from .oracle import first_solution
 from .triples import Method, UnitTriple
@@ -72,7 +66,6 @@ class SweepConfig:
     workers: int = 1
     k_bound: int = DEFAULT_K_BOUND
     checkpoint_path: str | Path | None = None
-    report_format: str = "csv"
 
     def __post_init__(self) -> None:
         if self.start < 2 or self.end < self.start:
@@ -81,8 +74,6 @@ class SweepConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.k_bound < 1:
             raise ValueError(f"k_bound must be >= 1, got {self.k_bound}")
-        if self.report_format not in ("csv", "json"):
-            raise ValueError(f"unknown report format: {self.report_format!r}")
 
 
 def classify_hard(n: int) -> bool:
@@ -97,7 +88,7 @@ def classify_hard(n: int) -> bool:
         raise ValueError(f"classify_hard expects n >= 2, got {n}")
     if n % 24 != 1:
         return False
-    return all(p % 24 == 1 for p, _ in factorize(n).pairs)
+    return all(p % 24 == 1 for p, _ in factorize(n))
 
 
 def _solved(n: int, triple: UnitTriple, method: Method, hard: bool) -> SweepRecord:
@@ -120,16 +111,12 @@ def solve(n: int, k_bound: int = DEFAULT_K_BOUND) -> SweepRecord:
             triple, method = dispatched
             return _solved(n, triple, method, hard)
         if n % 2 and n >= 3:
-            with warnings.catch_warnings():
-                # outside-hypothesis fall-through (only n = 3 here) is by
-                # design in this chain; the advisory stays on for direct use
-                warnings.simplefilter("ignore", HypothesisWarning)
-                found = theorem4_search(n)
-                if found is not None:
-                    return _solved(n, found[0], Method.THEOREM_4, hard)
-                found = theorem3_search(n, k_bound)
-                if found is not None:
-                    return _solved(n, found[0], Method.THEOREM_3_SEARCH, hard)
+            found = theorem4_search(n)
+            if found is not None:
+                return _solved(n, found[0], Method.THEOREM_4, hard)
+            found = theorem3_search(n, k_bound)
+            if found is not None:
+                return _solved(n, found[0], Method.THEOREM_3_SEARCH, hard)
         triple = first_solution(4, n)
     except CheckedOverflowError as exc:
         return SweepRecord(n, None, None, None, None, Status.ERROR, hard, detail=str(exc))
@@ -197,28 +184,36 @@ def _record_from_csv_row(row: list[str]) -> SweepRecord:
     )
 
 
-def emit_report(records: list[SweepRecord], format: str, destination: str | Path) -> None:
-    """Write records (sorted by n) as CSV rows n,method,x1,x2,x3,status,hard
-    or as a JSON array of objects with those field names.
+def write_report(records: Iterable[SweepRecord], format: str, fh: TextIO) -> None:
+    """Write records to fh as CSV rows n,method,x1,x2,x3,status,hard or as
+    a JSON array of objects with those field names.
 
     Absent triple fields serialize as empty (CSV) or null (JSON).  CSV has
-    no header row, so the row count equals the range size.
+    no header row, so the row count equals the number of records.
+    """
+    if format == "csv":
+        writer = csv.writer(fh, lineterminator="\n")
+        for rec in records:
+            writer.writerow(_record_to_csv_row(rec))
+    elif format == "json":
+        json.dump([record_to_obj(r) for r in records], fh, indent=1)
+        fh.write("\n")
+    else:
+        raise ValueError(f"unknown report format: {format!r}")
+
+
+def emit_report(records: list[SweepRecord], format: str, destination: str | Path) -> None:
+    """Write the report (see write_report) to the file at destination, replacing it.
+
+    Records must be sorted by n; otherwise ValueError is raised before the
+    file is touched.
     """
     if any(a.n >= b.n for a, b in zip(records, records[1:])):
         raise ValueError("records must be sorted by n")
     path = Path(destination)
     try:
-        if format == "csv":
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                for rec in records:
-                    writer.writerow(_record_to_csv_row(rec))
-        elif format == "json":
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump([record_to_obj(r) for r in records], fh, indent=1)
-                fh.write("\n")
-        else:
-            raise ValueError(f"unknown report format: {format!r}")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            write_report(records, format, fh)
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 
@@ -241,11 +236,16 @@ def load_report(source: str | Path, format: str | None = None) -> list[SweepReco
 # sweeping
 
 class _CheckpointWriter:
-    """Append-only JSON-lines writer, fsynced every _FSYNC_EVERY records."""
+    """Append-only JSON-lines writer, fsynced every _FSYNC_EVERY records.
 
-    def __init__(self, path: str | Path) -> None:
+    The file is first cut back to its first keep_bytes bytes, so records
+    are never appended onto a torn line.
+    """
+
+    def __init__(self, path: str | Path, keep_bytes: int) -> None:
         try:
             self._fh = open(path, "a", encoding="utf-8")
+            self._fh.truncate(keep_bytes)
         except OSError as exc:
             raise OSError(f"cannot open checkpoint {path}: {exc}") from exc
         self._pending = 0
@@ -266,23 +266,34 @@ class _CheckpointWriter:
         self._fh.close()
 
 
-def _load_checkpoint(path: str | Path, start: int, end: int) -> dict[int, SweepRecord]:
+def _load_checkpoint(
+    path: str | Path, start: int, end: int
+) -> tuple[dict[int, SweepRecord], int]:
+    """Records in [start, end] from the checkpoint's intact prefix, and that
+    prefix's length in bytes.
+
+    The prefix ends before the first line that is not newline-terminated
+    or does not parse as a record: a crash mid-write leaves such a torn
+    tail, and everything from it on is recomputed.
+    """
     p = Path(path)
     if not p.exists():
-        return {}
+        return {}, 0
     done: dict[int, SweepRecord] = {}
-    with open(p, encoding="utf-8") as fh:
+    intact = 0
+    with open(p, "rb") as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = record_from_obj(json.loads(line))
-            except (ValueError, KeyError):
-                break  # torn tail from a crash mid-write; recompute from here
-            if start <= rec.n <= end:
-                done[rec.n] = rec
-    return done
+            if not line.endswith(b"\n"):
+                break
+            if line.strip():
+                try:
+                    rec = record_from_obj(json.loads(line))
+                except (ValueError, KeyError, TypeError):
+                    break
+                if start <= rec.n <= end:
+                    done[rec.n] = rec
+            intact += len(line)
+    return done, intact
 
 
 def _solve_block(args: tuple[list[int], int]) -> list[SweepRecord]:
@@ -316,8 +327,8 @@ def sweep_range(config: SweepConfig) -> list[SweepRecord]:
     done: dict[int, SweepRecord] = {}
     writer = None
     if config.checkpoint_path is not None:
-        done = _load_checkpoint(config.checkpoint_path, config.start, config.end)
-        writer = _CheckpointWriter(config.checkpoint_path)
+        done, intact = _load_checkpoint(config.checkpoint_path, config.start, config.end)
+        writer = _CheckpointWriter(config.checkpoint_path, intact)
     try:
         pending = [n for n in range(config.start, config.end + 1) if n not in done]
         for rec in _solve_stream(pending, config.k_bound, config.workers):

@@ -48,10 +48,6 @@ class UnitTriple:
         return (self.x1, self.x2, self.x3)
 
     @property
-    def is_distinct(self) -> bool:
-        return self.x1 < self.x2 < self.x3
-
-    @property
     def target(self) -> Fraction:
         return Fraction(self.target_num, self.target_den)
 

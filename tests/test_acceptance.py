@@ -7,11 +7,10 @@ rational arithmetic.  Run with -s to see the per-criterion lines.
 
 import hashlib
 import time
-import warnings
 from fractions import Fraction as PyFraction
 
 from fourovern.construct_th2 import path_3mod4, path_prime_13mod24, theorem2_dispatch
-from fourovern.construct_th34 import HypothesisWarning, theorem3_search, theorem4_search
+from fourovern.construct_th34 import theorem3_search, theorem4_search
 from fourovern.core_arith import Fraction, factorize, unit_sum
 from fourovern.oracle import (
     OracleQuery,
@@ -77,7 +76,7 @@ def test_criterion_3_theorem2_contrapositive():
     t0 = time.perf_counter()
     unreached = []
     for n in range(4, 10_001):
-        reachable = any(p % 24 != 1 for p, _ in factorize(n).pairs)
+        reachable = any(p % 24 != 1 for p, _ in factorize(n))
         got = theorem2_dispatch(n)
         if reachable:
             if got is None:
@@ -112,30 +111,28 @@ def test_criterion_4_hard_class_behavior():
 
 def test_criterion_5_oracle_cross_validation():
     t0 = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", HypothesisWarning)
-        for n in range(2, 501):
-            naive = set(enumerate_three_term_naive(4, n, False))
-            mine = {t.values for t in enumerate_three_term(OracleQuery(4, n, False))}
-            assert mine == naive, n
-            distinct = {t.values for t in enumerate_three_term(OracleQuery(4, n, True))}
-            assert distinct == {t for t in naive if len(set(t)) == 3}, n
+    for n in range(2, 501):
+        naive = set(enumerate_three_term_naive(4, n, False))
+        mine = {t.values for t in enumerate_three_term(OracleQuery(4, n, False))}
+        assert mine == naive, n
+        distinct = {t.values for t in enumerate_three_term(OracleQuery(4, n, True))}
+        assert distinct == {t for t in naive if len(set(t)) == 3}, n
 
-            # every constructor output is a member of the enumeration
-            candidates = []
-            dispatched = theorem2_dispatch(n) if n >= 2 else None
-            if dispatched is not None:
-                candidates.append(dispatched[0])
-            if n % 2 and n >= 3:
-                for found in (theorem4_search(n), theorem3_search(n, 999)):
-                    if found is not None:
-                        candidates.append(found[0])
-            rec = solve(n)
-            if rec.status is Status.SOLVED:
-                candidates.append(rec)
-            for c in candidates:
-                values = c.values if hasattr(c, "values") else (c.x1, c.x2, c.x3)
-                assert values in distinct, (n, values)
+        # every constructor output is a member of the enumeration
+        candidates = []
+        dispatched = theorem2_dispatch(n) if n >= 2 else None
+        if dispatched is not None:
+            candidates.append(dispatched[0])
+        if n % 2 and n >= 3:
+            for found in (theorem4_search(n), theorem3_search(n, 999)):
+                if found is not None:
+                    candidates.append(found[0])
+        rec = solve(n)
+        if rec.status is Status.SOLVED:
+            candidates.append(rec)
+        for c in candidates:
+            values = c.values if hasattr(c, "values") else (c.x1, c.x2, c.x3)
+            assert values in distinct, (n, values)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60
     report("criterion 5 (divisor-pair oracle == naive oracle <= 500, membership)", elapsed, 60)

@@ -98,6 +98,14 @@ class TestSweep:
         assert len(lines) == 10
         assert lines[0].startswith("3,Oracle,1,4,12")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_matches_report_file(self, tmp_path, capsys, fmt):
+        assert cli_main(["sweep", "3", "3000", "--format", fmt]) == 0
+        stdout = capsys.readouterr().out.encode()
+        report = tmp_path / f"out.{fmt}"
+        assert cli_main(["sweep", "3", "3000", "--format", fmt, "--report", str(report)]) == 0
+        assert stdout == report.read_bytes()
+
     def test_json_report(self, tmp_path):
         report = tmp_path / "out.json"
         assert cli_main(["sweep", "3", "12", "--format", "json", "--report", str(report)]) == 0

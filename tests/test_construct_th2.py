@@ -178,7 +178,7 @@ class TestDispatch:
     def test_completeness_both_directions(self):
         # succeeds exactly when some prime divisor is not 1 (mod 24)
         for n in range(4, 3001):
-            reachable = any(p % 24 != 1 for p, _ in factorize(n).pairs)
+            reachable = any(p % 24 != 1 for p, _ in factorize(n))
             dispatched = theorem2_dispatch(n)
             if reachable:
                 assert dispatched is not None, n

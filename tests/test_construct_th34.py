@@ -1,19 +1,16 @@
-import warnings
 from fractions import Fraction as PyFraction
 
 import pytest
 
 from fourovern.construct_th34 import (
     HypothesisViolation,
-    HypothesisWarning,
     Th3Params,
-    has_divisor_3_mod_4,
     theorem3_construct,
     theorem3_search,
     theorem4_construct,
     theorem4_search,
 )
-from fourovern.core_arith import divisors
+from fourovern.core_arith import divisors, factorize
 from fourovern.triples import ConstructionError
 
 
@@ -22,11 +19,16 @@ def check_exact(triple, n):
     assert triple.x1 < triple.x2 < triple.x3
 
 
+def has_divisor_3_mod_4(n):
+    return n > 1 and any(p % 4 == 3 for p, _ in factorize(n))
+
+
 def hypothesis_free(n):
     return n % 2 == 1 and not has_divisor_3_mod_4(n)
 
 
 class TestHasDivisor3Mod4:
+    # the predicate that picks hypothesis-free n above, against its definition
     @pytest.mark.parametrize(
         "n,want",
         [(1, False), (3, True), (5, False), (15, True), (25, False), (73, False), (21, True), (2, False)],
@@ -90,14 +92,12 @@ class TestTheorem3Construct:
 
     def test_distinctness_failure_is_construction_error(self):
         # n=3 breaks the no-divisor-3-mod-4 hypothesis and the parts collide
-        with pytest.warns(HypothesisWarning):
-            with pytest.raises(ConstructionError):
-                theorem3_construct(3, Th3Params(3, 3, 3, 2, 1))
+        with pytest.raises(ConstructionError):
+            theorem3_construct(3, Th3Params(3, 3, 3, 2, 1))
 
-    def test_warns_outside_hypothesis_but_validates(self):
+    def test_validates_outside_hypothesis(self):
         # n=15 has divisors 3 and 15 congruent to 3 mod 4; the witness still works
-        with pytest.warns(HypothesisWarning):
-            t = theorem3_construct(15, Th3Params(5, 1, 3, 2, 1))
+        t = theorem3_construct(15, Th3Params(5, 1, 3, 2, 1))
         check_exact(t, 15)
 
 

@@ -114,16 +114,16 @@ class TestDivisors:
 
 class TestFactorize:
     def test_prime_square(self):
-        assert factorize(5329).pairs == ((73, 2),)
+        assert factorize(5329) == ((73, 2),)
 
     def test_small(self):
-        assert factorize(24).pairs == ((2, 3), (3, 1))
+        assert factorize(24) == ((2, 3), (3, 1))
 
     def test_large_prime(self):
         # independent oracle: trial division all the way to sqrt(n)
         n = 999983
         assert all(n % d for d in range(2, math.isqrt(n) + 1))
-        assert factorize(n).pairs == ((n, 1),)
+        assert factorize(n) == ((n, 1),)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_below_two_rejected(self, n):
@@ -133,15 +133,15 @@ class TestFactorize:
     def test_reconstructs_exhaustively(self):
         for n in range(2, 2001):
             fac = factorize(n)
-            assert fac.reconstruct() == n
-            ps = fac.primes()
-            assert list(ps) == sorted(ps) and len(set(ps)) == len(ps)
+            assert math.prod(p**e for p, e in fac) == n
+            ps = [p for p, _ in fac]
+            assert ps == sorted(ps) and len(set(ps)) == len(ps)
             assert all(is_prime(p) for p in ps)
 
     @given(st.integers(2, 10**9))
     @settings(max_examples=200, deadline=None)
     def test_reconstructs_random(self, n):
-        assert factorize(n).reconstruct() == n
+        assert math.prod(p**e for p, e in factorize(n)) == n
 
     @staticmethod
     def _trial_division(n):
@@ -165,7 +165,7 @@ class TestFactorize:
     @example(999983 * 999979)
     @settings(max_examples=200, deadline=None)
     def test_matches_trial_division(self, n):
-        assert factorize(n).pairs == self._trial_division(n)
+        assert factorize(n) == self._trial_division(n)
 
     @given(st.integers(2, 2**63 - 1))
     @example(1009**2)
@@ -178,14 +178,14 @@ class TestFactorize:
     @settings(max_examples=100, deadline=None)
     def test_large_values_are_complete(self, n):
         fac = factorize(n)
-        ps = fac.primes()
-        assert fac.reconstruct() == n
+        ps = [p for p, _ in fac]
+        assert math.prod(p**e for p, e in fac) == n
         assert all(is_prime(p) for p in ps)
         assert all(a < b for a, b in zip(ps, ps[1:]))
 
     def test_prime_powers_past_trial_bound(self):
-        assert factorize(1009**3).pairs == ((1009, 3),)
-        assert factorize((10**9 + 7) ** 2).pairs == ((10**9 + 7, 2),)
+        assert factorize(1009**3) == ((1009, 3),)
+        assert factorize((10**9 + 7) ** 2) == ((10**9 + 7, 2),)
 
     def test_cofactor_beyond_witness_range_raises(self):
         # no factor <= 1000 and a cofactor past is_prime's proven bound
@@ -196,7 +196,7 @@ class TestFactorize:
     def test_small_factors_bring_cofactor_into_range(self):
         n = 2**10 * 997**5 * (2**61 - 1)
         assert n > 3_317_044_064_679_887_385_961_981
-        assert factorize(n).pairs == ((2, 10), (997, 5), (2**61 - 1, 1))
+        assert factorize(n) == ((2, 10), (997, 5), (2**61 - 1, 1))
 
 
 class TestIsPrime:

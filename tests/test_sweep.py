@@ -1,9 +1,9 @@
 import json
+import warnings
 from fractions import Fraction as PyFraction
 
 import pytest
 
-from fourovern.construct_th34 import HypothesisWarning
 from fourovern.sweep import (
     SweepConfig,
     SweepRecord,
@@ -83,8 +83,14 @@ class TestSolve:
         assert rec.method is Method.ORACLE
         assert (rec.x1, rec.x2, rec.x3) == (1, 4, 12)
         validated(rec)
-        # the pipeline suppresses the advisory for its own fall-through
-        assert not [w for w in recwarn if issubclass(w.category, HypothesisWarning)]
+        assert not recwarn.list
+
+    def test_witness_path_raises_no_warning(self):
+        hard = [n for n in range(25, 10_001, 24) if classify_hard(n)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in [3] + hard:
+                validated(solve(n))
 
     def test_overflow_becomes_error_record(self):
         rec = solve(2**66)
@@ -138,6 +144,10 @@ class TestSerialization:
         with pytest.raises(ValueError):
             emit_report([solve(7), solve(5)], "csv", tmp_path / "r.csv")
 
+    def test_unknown_format_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="xml"):
+            emit_report([solve(7)], "xml", tmp_path / "r.xml")
+
     def test_unwritable_report_path(self, tmp_path):
         with pytest.raises(OSError):
             emit_report([solve(7)], "csv", tmp_path / "missing" / "r.csv")
@@ -151,8 +161,6 @@ class TestSweepRange:
             SweepConfig(1, 10)
         with pytest.raises(ValueError):
             SweepConfig(3, 10, workers=0)
-        with pytest.raises(ValueError):
-            SweepConfig(3, 10, report_format="xml")
 
     def test_one_record_per_n_in_order(self):
         records = sweep_range(SweepConfig(3, 120))
@@ -190,6 +198,24 @@ class TestSweepRange:
             fh.write('{"n": 61, "met')  # torn write
         again = sweep_range(SweepConfig(3, 60, checkpoint_path=ck))
         assert again == want
+
+    @pytest.mark.parametrize("tail", ['{"n":1001,"meth', "complete", "5\n"])
+    def test_resume_cuts_torn_tail(self, tmp_path, tail):
+        # a tail that is not a whole newline-terminated record is cut before
+        # appending, so repeated resumes neither glue records onto it nor
+        # drop the records written after it
+        fresh = sweep_range(SweepConfig(3, 3000))
+        ck = tmp_path / "sweep.jsonl"
+        sweep_range(SweepConfig(3, 1000, checkpoint_path=ck))
+        if tail == "complete":
+            tail = json.dumps(record_to_obj(solve(1001)), separators=(",", ":"))
+        with open(ck, "a") as fh:
+            fh.write(tail)
+        for _ in range(2):
+            assert sweep_range(SweepConfig(3, 3000, checkpoint_path=ck)) == fresh
+        objs = [json.loads(line) for line in ck.read_text().splitlines()]
+        assert [o["n"] for o in objs] == list(range(3, 3001))
+        assert [record_from_obj(o) for o in objs] == fresh
 
     def test_checkpoint_skips_recomputation(self, tmp_path, monkeypatch):
         ck = tmp_path / "sweep.jsonl"
