@@ -60,7 +60,6 @@ from .sweep import (
     solve,
     sweep_range,
 )
-from .cli import cli_main
 
 __version__ = "0.1.0"
 
@@ -84,7 +83,6 @@ __all__ = [
     "checked_add",
     "checked_mul",
     "classify_hard",
-    "cli_main",
     "count_solutions",
     "divisors",
     "emit_report",

@@ -11,6 +11,13 @@ follows, with distinct parts whenever n has no divisor congruent to 3 mod
 specialize k to a divisor d of n, where the congruence holds for free and
 only delta + d needs a qualifying m.
 
+With kk = k / gcd(k, n), k | a*t*n holds exactly when kk | a*t, and
+a*t = (delta + k)(m + 1)/(4m) <= (delta + k)/3 because m >= 3.  So a
+witness needs 3*kk <= delta + k: a k coprime to n can only work when
+k <= delta/2, and a larger k must share a factor with n.  theorem3_search
+visits only those k, in the same order as the full scan, so it returns
+the same first witness.
+
 The no-divisor-3-mod-4 hypothesis is not checked.  Acceptance rests on
 the exact-sum and distinctness validation of the built triple alone, so a
 witness for an n outside the hypothesis either validates or is rejected.
@@ -20,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from math import gcd
 
 from .core_arith import checked_mul, divisors
 from .triples import ConstructionError, Method, UnitTriple, make_triple
@@ -100,6 +109,11 @@ def theorem3_search(
     """Bounded witness scan: delta ascending over divisors of n, then odd k
     up to k_bound, then m ascending over divisors of delta + k.
 
+    Only the k with 3*(k / gcd(k, n)) <= delta + k can hold a witness, so
+    the scan visits the odd k <= delta/2 and the odd multiples of a divisor
+    d > 1 of n, skipping the rest; the visiting order of those it keeps is
+    the full scan's, so the first witness found is the same.
+
     Returns the first witness whose congruence holds and whose triple
     validates.  None means the bounded search is exhausted, not that no
     witness exists.
@@ -108,12 +122,20 @@ def theorem3_search(
         raise ValueError(f"theorem3_search needs odd n >= 3, got {n}")
     if k_bound < 1:
         raise ValueError(f"k_bound must be positive, got {k_bound}")
-    for delta in divisors(n):
-        for k in range(1, k_bound + 1, 2):
-            for m in _m_candidates(delta + k):
-                a = (delta + k) // m
+    divs = divisors(n)
+    # odd k <= k_bound sharing a factor with n: the only k > delta/2 that can hold
+    shared = sorted({k for d in divs[1:] for k in range(d, k_bound + 1, 2 * d)})
+    for delta in divs:
+        lim = min(k_bound, delta // 2)
+        for k in chain(range(1, lim + 1, 2), (k for k in shared if k > lim)):
+            s = delta + k
+            kk = k // gcd(k, n)
+            if 3 * kk > s:
+                continue
+            for m in _m_candidates(s):
+                a = s // m
                 t = (m + 1) // 4
-                if checked_mul(a * t, n) % k:
+                if a * t % kk:
                     continue
                 w = Th3Params(delta, k, m, a, t)
                 try:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fourovern
 from fourovern.cli import cli_main
 
 
@@ -150,3 +155,16 @@ class TestUsage:
 
     def test_no_args(self, capsys):
         assert cli_main([]) == 2
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["fourovern", "fourovern.cli"])
+    def test_runs_without_warnings(self, module):
+        src = str(Path(fourovern.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "decompose", "7"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("4/7 = 1/3 + 1/6 + 1/14\n")

@@ -1,8 +1,11 @@
 from fractions import Fraction as PyFraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourovern.construct_th34 import (
+    DEFAULT_K_BOUND,
     HypothesisViolation,
     Th3Params,
     theorem3_construct,
@@ -140,6 +143,45 @@ class TestTheorem3Search:
                 continue
             triple, w = found
             assert theorem3_construct(n, w) == triple
+
+
+def unpruned_theorem3_search(n, k_bound):
+    """The full delta, k, m scan that theorem3_search prunes: every odd k."""
+    for delta in divisors(n):
+        for k in range(1, k_bound + 1, 2):
+            for m in divisors(delta + k):
+                if m % 4 != 3:
+                    continue
+                a = (delta + k) // m
+                t = (m + 1) // 4
+                if a * t * n % k:
+                    continue
+                w = Th3Params(delta, k, m, a, t)
+                try:
+                    return theorem3_construct(n, w), w
+                except ConstructionError:
+                    continue
+    return None
+
+
+class TestPrunedScanMatchesFullScan:
+    @pytest.mark.parametrize("k_bound", [1, 2, 3, 7, 25, 101, 999])
+    def test_small_odd_n(self, k_bound):
+        for n in range(3, 3002, 2):
+            assert theorem3_search(n, k_bound) == unpruned_theorem3_search(n, k_bound), n
+
+    # hard primes, and n = 3, whose delta=3, k=3, m=3 witness collides
+    # (ConstructionError) before the scan goes on and ends in None
+    @pytest.mark.parametrize("k_bound", [1, 3, 99, 999])
+    @pytest.mark.parametrize("n", [3, 73, 97, 193])
+    def test_hard_primes_and_three(self, n, k_bound):
+        assert theorem3_search(n, k_bound) == unpruned_theorem3_search(n, k_bound)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=10**12 // 2 - 1))
+    def test_large_odd_n(self, half):
+        n = 2 * half + 1
+        assert theorem3_search(n) == unpruned_theorem3_search(n, DEFAULT_K_BOUND)
 
 
 class TestTheorem4:

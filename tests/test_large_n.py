@@ -12,9 +12,12 @@ from fractions import Fraction as PyFraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourovern import core_arith
-from fourovern.core_arith import is_prime
+from fourovern.construct_th2 import theorem2_dispatch
+from fourovern.core_arith import factorize, is_prime
 from fourovern.sweep import Status, classify_hard, solve
 
 FIRST_HARD_PRIME_PAST_1E18 = 10**18 + 9
@@ -62,3 +65,16 @@ class TestLargeN:
 
     def test_sieve_not_grown(self, solved):
         assert core_arith._sieve_limit <= max(solved.sieve_before, 1 << 16)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(min_value=4, max_value=2**63 - 1))
+def test_dispatch_never_overflows_below_2_63(n):
+    # no CheckedOverflowError: a closed form or a lifted one fits, or n is hard
+    found = theorem2_dispatch(n)
+    if found is None:
+        assert all(p % 24 == 1 for p, _ in factorize(n))
+        return
+    triple, _ = found
+    assert triple.x3 < 2**127
+    assert PyFraction(1, triple.x1) + PyFraction(1, triple.x2) + PyFraction(1, triple.x3) == PyFraction(4, n)
