@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd
 
-from .core_arith import checked_mul, divisors
+from .core_arith import checked_mul, divisors, factorize
 from .triples import ConstructionError, Method, UnitTriple, make_triple
 
 DEFAULT_K_BOUND = 999
@@ -99,8 +99,25 @@ def theorem3_construct(n: int, params: Th3Params) -> UnitTriple:
 
 @lru_cache(maxsize=1 << 14)
 def _m_candidates(s: int) -> tuple[int, ...]:
-    """Divisors of s congruent to 3 mod 4, ascending."""
-    return tuple(m for m in divisors(s) if m % 4 == 3)
+    """Divisors of s congruent to 3 mod 4, ascending.
+
+    Only odd divisors can be 3 mod 4, so only those are built, from the
+    odd primes of s.  A product of primes 1 mod 4 is 1 mod 4, so an s with
+    no prime factor 3 mod 4 returns () without building any.
+    """
+    pairs = factorize(s) if s > 1 else ()
+    if pairs and pairs[0][0] == 2:
+        pairs = pairs[1:]
+    if not any(p % 4 == 3 for p, _ in pairs):
+        return ()
+    divs = [1]
+    for p, e in pairs:
+        grown = divs
+        for _ in range(e):
+            grown = [d * p for d in grown]
+            divs = divs + grown
+    divs.sort()
+    return tuple([m for m in divs if m % 4 == 3])
 
 
 def theorem3_search(

@@ -6,9 +6,12 @@ carrying its operands instead of silently continuing.  Fractions are
 reduced eagerly, which makes equality structural.
 
 Primality is deterministic (trial division backed by a fixed Miller-Rabin
-witness set).  Factoring trial-divides by the primes up to 1000 and
-splits any larger cofactor with Pollard-Brent rho, using that primality
-test to stop; rho's constants are fixed, so results and running times are
+witness set).  Factoring takes out the power of two with n & -n, then
+screens the odd part with a single gcd against the product of the odd
+primes up to 1000: that gcd is the squarefree product of the small
+primes dividing n, so only those few are divided out.  Any larger
+cofactor is split with Pollard-Brent rho, using the primality test to
+stop; rho's constants are fixed, so results and running times are
 reproducible.  Both are exact; neither is probabilistic.
 """
 
@@ -17,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd as _math_gcd, isqrt
+from math import gcd as _math_gcd, isqrt, prod
 from typing import Iterator, Sequence
 
 INT128_MAX = (1 << 127) - 1
@@ -188,19 +191,37 @@ def _split(m: int, out: list[int]) -> None:
     _split(m // d, out)
 
 
+# product of the odd primes <= _TRIAL_BOUND, and those primes; built on first use
+_screen_product = 0
+_screen_primes: list[int] = []
+
+
 @lru_cache(maxsize=1 << 16)
 def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    m = n
-    pairs: list[tuple[int, int]] = []
-    for p in primes_up_to(_TRIAL_BOUND):
-        if p * p > m:
+    global _screen_product, _screen_primes
+    if not _screen_product:
+        _screen_primes = primes_up_to(_TRIAL_BOUND)[1:]
+        _screen_product = prod(_screen_primes)
+    low = n & -n
+    pairs: list[tuple[int, int]] = [(2, low.bit_length() - 1)] if low > 1 else []
+    m = n // low
+    # g is the squarefree product of the odd primes <= _TRIAL_BOUND dividing m
+    g = _math_gcd(m, _screen_product)
+    small: list[int] = []
+    for p in _screen_primes:
+        if p * p > g:
             break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            pairs.append((p, e))
+        if g % p == 0:
+            g //= p
+            small.append(p)
+    if g > 1:  # no prime factor below its square root left: g is prime
+        small.append(g)
+    for p in small:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        pairs.append((p, e))
     if m >= _MR_EXACT_BOUND:
         raise ValueError(
             f"factorize: cofactor {m} of {n} exceeds the deterministic primality range"
@@ -219,11 +240,16 @@ def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Ascending (prime, exponent) pairs of n; deterministic and exact.
 
-    Trial division by the primes up to 1000, then Pollard-Brent rho on
-    whatever cofactor is left, with is_prime's fixed witnesses deciding
-    when a piece is prime.  Raises ValueError, naming the value, when that
-    cofactor is at or above the witnesses' proven bound (about 3.3e24)
-    rather than guess; every n below that bound is factored.
+    The power of two comes off with n & -n.  One gcd of the odd part with
+    the product of the odd primes up to 1000 (built on the first call)
+    names the small primes that divide n; that gcd is squarefree, so it
+    is trial-divided only while p*p <= gcd, and what is left of it is
+    prime.  Only those primes are divided out of n.  Pollard-Brent rho
+    then splits whatever cofactor is left, with is_prime's fixed
+    witnesses deciding when a piece is prime.  Raises ValueError, naming
+    the value, when that cofactor is at or above the witnesses' proven
+    bound (about 3.3e24) rather than guess; every n below that bound is
+    factored.
     """
     if n < 2:
         raise ValueError(f"factorize expects n >= 2, got {n}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core_arith import Fraction, checked_mul, gcd, unit_sum
+from .triples import ConstructionError
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,8 @@ def solve_two_term(q: int, p: int) -> TwoTermSolution | None:
     Returns None when q does not divide p + 1.  For prime p that None is a
     proof that no distinct solution exists; for composite p it only means
     this constructor does not apply.  p = 1 collapses to a repeated part
-    and also yields None.
+    and also yields None.  A pair whose exact sum is not q/p raises
+    ConstructionError.
     """
     if q < 1 or p < 1:
         raise ValueError(f"q and p must be positive, got ({q}, {p})")
@@ -48,7 +50,8 @@ def solve_two_term(q: int, p: int) -> TwoTermSolution | None:
     if x1 == x2:  # only p == 1
         return None
     sol = TwoTermSolution(x1, x2)
-    assert unit_sum(sol.values) == Fraction(q, p)
+    if unit_sum(sol.values) != Fraction(q, p):
+        raise ConstructionError(f"1/{x1} + 1/{x2} does not sum to {q}/{p}")
     return sol
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction as PyFraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from fourovern.construct_th34 import (
     DEFAULT_K_BOUND,
     HypothesisViolation,
     Th3Params,
+    _m_candidates,
     theorem3_construct,
     theorem3_search,
     theorem4_construct,
@@ -145,13 +147,51 @@ class TestTheorem3Search:
             assert theorem3_construct(n, w) == triple
 
 
-def unpruned_theorem3_search(n, k_bound):
-    """The full delta, k, m scan that theorem3_search prunes: every odd k."""
+@lru_cache(maxsize=None)
+def brute_m_list(s):
+    """Divisors of s that are 3 mod 4, ascending, by trying every candidate."""
+    return [m for m in range(3, s + 1, 4) if s % m == 0]
+
+
+def divisor_m_list(s):
+    return [m for m in divisors(s) if m % 4 == 3]
+
+
+class TestMCandidates:
+    def test_matches_brute_force(self):
+        for s in range(1, 20_001):
+            assert list(_m_candidates(s)) == brute_m_list(s), s
+
+    @pytest.mark.parametrize(
+        "s,want",
+        [
+            (2**40, ()),
+            (3**12, tuple(3**i for i in range(1, 13, 2))),
+            (2**7 * 3**5, (3, 27, 243)),
+            (7**2 * 11, (7, 11, 539)),
+            (2**3 * 7**2 * 11, (7, 11, 539)),
+            (1009 * 1013, ()),                       # both 1 (mod 4)
+            (5**3 * 1009 * 1013 * 2**5, ()),
+            (1019, (1019,)),                          # prime 3 (mod 4) above 1000
+            (2 * 1019 * 1031, (1019, 1031)),         # 1019 * 1031 is 1 (mod 4)
+            (1009 * 1019, (1019, 1009 * 1019)),
+            (3 * 1009 * 1019, (3, 1019, 3 * 1009, 1009 * 1019)),
+            ((10**9 + 7) * 4, (10**9 + 7,)),         # 10**9 + 7 is 3 (mod 4)
+        ],
+    )
+    def test_known_factorizations(self, s, want):
+        assert _m_candidates(s) == want
+
+
+def unpruned_theorem3_search(n, k_bound, m_list=brute_m_list):
+    """The full delta, k, m scan that theorem3_search prunes: every odd k.
+
+    Its m come from m_list: a brute-force divisor scan by default, so the
+    reference does not share the factorizer behind _m_candidates.
+    """
     for delta in divisors(n):
         for k in range(1, k_bound + 1, 2):
-            for m in divisors(delta + k):
-                if m % 4 != 3:
-                    continue
+            for m in m_list(delta + k):
                 a = (delta + k) // m
                 t = (m + 1) // 4
                 if a * t * n % k:
@@ -181,7 +221,8 @@ class TestPrunedScanMatchesFullScan:
     @given(st.integers(min_value=1, max_value=10**12 // 2 - 1))
     def test_large_odd_n(self, half):
         n = 2 * half + 1
-        assert theorem3_search(n) == unpruned_theorem3_search(n, DEFAULT_K_BOUND)
+        # brute force over delta + k up to 1e12 is infeasible, so m comes from divisors
+        assert theorem3_search(n) == unpruned_theorem3_search(n, DEFAULT_K_BOUND, divisor_m_list)
 
 
 class TestTheorem4:

@@ -131,7 +131,7 @@ class TestFactorize:
             factorize(n)
 
     def test_reconstructs_exhaustively(self):
-        for n in range(2, 2001):
+        for n in range(2, 20_001):
             fac = factorize(n)
             assert math.prod(p**e for p, e in fac) == n
             ps = [p for p, _ in fac]
@@ -163,6 +163,15 @@ class TestFactorize:
     @example(1009**3)
     @example(997 * 1009 * 1013)
     @example(999983 * 999979)
+    # edges of the gcd screen over the odd primes <= 1000
+    @example(3 * 997)
+    @example(991 * 997)
+    @example(997**2)
+    @example(3**40)
+    @example(2**62)
+    @example(2**10 * 1009 * 1013)
+    @example(997**3 * 1009)
+    @example(math.prod(p for p in range(3, 54) if all(p % d for d in range(2, p))))
     @settings(max_examples=200, deadline=None)
     def test_matches_trial_division(self, n):
         assert factorize(n) == self._trial_division(n)

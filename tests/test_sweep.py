@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import warnings
 from fractions import Fraction as PyFraction
@@ -16,8 +18,12 @@ from fourovern.sweep import (
     record_to_obj,
     solve,
     sweep_range,
+    write_report,
 )
 from fourovern.triples import Method
+
+# sha256 of the CSV report of solve(n) over the hard class up to 1e6
+HARD_CLASS_CSV_SHA256 = "479d964ef866ccdf52233990d78558ed63844debbd6b8ff827cb12949ee3bff3"
 
 
 def validated(rec):
@@ -254,3 +260,33 @@ class TestSweepRange:
         hard = [r for r in records if r.hard]
         assert hard, "expected hard cases in [3, 4000]"
         assert all(r.method not in closed_forms for r in hard)
+
+
+def hard_class(limit):
+    """Every n <= limit whose prime factors are all 1 (mod 24), from a
+    smallest-prime-factor sieve independent of the package's factoring."""
+    spf = list(range(limit + 1))
+    for p in range(2, int(limit**0.5) + 1):
+        if spf[p] == p:
+            for q in range(p * p, limit + 1, p):
+                if spf[q] == q:
+                    spf[q] = p
+    out = []
+    for n in range(2, limit + 1):
+        m = n
+        while m > 1 and spf[m] % 24 == 1:
+            m //= spf[m]
+        if m == 1:
+            out.append(n)
+    return out
+
+
+class TestHardClassAttribution:
+    def test_records_and_methods_pinned(self):
+        ns = hard_class(10**6)
+        assert len(ns) == 10_434
+        records = [solve(n) for n in ns]
+        buf = io.StringIO()
+        write_report(records, "csv", buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == HARD_CLASS_CSV_SHA256
+        assert method_histogram(records) == {"Theorem4": 5334, "Theorem3Search": 5085, "Oracle": 15}

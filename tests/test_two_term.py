@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as PyFraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fourovern
 from fourovern.two_term import TwoTermSolution, enumerate_two_term, solve_two_term
 
 # independent of the package's own primality test
@@ -29,6 +34,22 @@ class TestSolveTwoTerm:
     def test_rejects_nonpositive(self, q, p):
         with pytest.raises(ValueError):
             solve_two_term(q, p)
+
+    def test_wrong_sum_raises_under_optimize(self):
+        # the exact-sum check must survive python -O, which strips asserts
+        src = str(Path(fourovern.__file__).resolve().parent.parent)
+        code = (
+            "import fourovern.two_term as tt\n"
+            "from fourovern.core_arith import Fraction\n"
+            "tt.unit_sum = lambda xs: Fraction(1, 1)\n"
+            "tt.solve_two_term(3, 5)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "fourovern.triples.ConstructionError: 1/2 + 1/10 does not sum to 3/5" in proc.stderr
 
 
 class TestEnumerateTwoTerm:
