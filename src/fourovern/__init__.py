@@ -14,9 +14,7 @@ from .core_arith import (
     checked_mul,
     divisors,
     factorize,
-    gcd,
     is_prime,
-    primes_up_to,
     unit_sum,
 )
 from .triples import ConstructionError, Method, UnitTriple, make_triple
@@ -32,11 +30,8 @@ from .construct_th2 import (
 )
 from .construct_th34 import (
     DEFAULT_K_BOUND,
-    HypothesisViolation,
     Th3Params,
-    theorem3_construct,
     theorem3_search,
-    theorem4_construct,
     theorem4_search,
 )
 from .oracle import (
@@ -44,7 +39,6 @@ from .oracle import (
     OracleQuery,
     count_solutions,
     enumerate_three_term,
-    enumerate_three_term_naive,
     first_solution,
 )
 from .sweep import (
@@ -70,7 +64,6 @@ __all__ = [
     "ConstructionError",
     "DEFAULT_K_BOUND",
     "Fraction",
-    "HypothesisViolation",
     "Method",
     "OracleBudgetError",
     "OracleQuery",
@@ -87,11 +80,9 @@ __all__ = [
     "divisors",
     "emit_report",
     "enumerate_three_term",
-    "enumerate_three_term_naive",
     "enumerate_two_term",
     "factorize",
     "first_solution",
-    "gcd",
     "is_prime",
     "lift_by_cofactor",
     "load_report",
@@ -102,16 +93,13 @@ __all__ = [
     "path_mod3_0",
     "path_mod3_2",
     "path_prime_13mod24",
-    "primes_up_to",
     "record_from_obj",
     "record_to_obj",
     "solve",
     "solve_two_term",
     "sweep_range",
     "theorem2_dispatch",
-    "theorem3_construct",
     "theorem3_search",
-    "theorem4_construct",
     "theorem4_search",
     "unit_sum",
 ]

@@ -7,8 +7,8 @@ exact decomposition
     4/n = 1/(a*t*n/k) + 1/(a*t*(n/delta)) + 1/(t*n)
 
 follows, with distinct parts whenever n has no divisor congruent to 3 mod
-4.  theorem3_search scans for witnesses under a k bound; theorem4_*
-specialize k to a divisor d of n, where the congruence holds for free and
+4.  theorem3_search scans for witnesses under a k bound; theorem4_search
+specializes k to a divisor d of n, where the congruence holds for free and
 only delta + d needs a qualifying m.
 
 With kk = k / gcd(k, n), k | a*t*n holds exactly when kk | a*t, and
@@ -18,9 +18,10 @@ k <= delta/2, and a larger k must share a factor with n.  theorem3_search
 visits only those k, in the same order as the full scan, so it returns
 the same first witness.
 
-The no-divisor-3-mod-4 hypothesis is not checked.  Acceptance rests on
-the exact-sum and distinctness validation of the built triple alone, so a
-witness for an n outside the hypothesis either validates or is rejected.
+Both searches build only witnesses that meet these requirements, and the
+no-divisor-3-mod-4 hypothesis is not checked.  make_triple's exact-sum and
+distinctness check of the built triple is the only gate, so a witness for
+an n outside the hypothesis either validates or is rejected.
 """
 
 from __future__ import annotations
@@ -30,14 +31,10 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd
 
-from .core_arith import checked_mul, divisors, factorize
+from .core_arith import _factor, checked_mul, divisors
 from .triples import ConstructionError, Method, UnitTriple, make_triple
 
 DEFAULT_K_BOUND = 999
-
-
-class HypothesisViolation(ValueError):
-    """A witness tuple breaks one of the construction's requirements."""
 
 
 @dataclass(frozen=True)
@@ -50,51 +47,14 @@ class Th3Params:
     a: int
     t: int
 
-    @classmethod
-    def from_divisor_k_m(cls, delta: int, k: int, m: int) -> "Th3Params":
-        if m < 3 or m % 4 != 3:
-            raise HypothesisViolation(f"m must be 3 (mod 4), got {m}")
-        if (delta + k) % m:
-            raise HypothesisViolation(f"m={m} does not divide delta+k={delta + k}")
-        return cls(delta, k, m, (delta + k) // m, (m + 1) // 4)
-
-
-def _validate(n: int, w: Th3Params) -> None:
-    if n < 1 or n % 2 == 0:
-        raise HypothesisViolation(f"n must be odd and positive, got {n}")
-    if w.delta < 1 or n % w.delta:
-        raise HypothesisViolation(f"delta={w.delta} does not divide n={n}")
-    if w.k < 1 or w.k % 2 == 0:
-        raise HypothesisViolation(f"k must be an odd positive integer, got {w.k}")
-    if w.m < 3 or w.m % 4 != 3:
-        raise HypothesisViolation(f"m must be 3 (mod 4), got {w.m}")
-    if w.a < 1 or w.a * w.m != w.delta + w.k:
-        raise HypothesisViolation(f"a*m == delta+k fails for {w}")
-    if w.t != (w.m + 1) // 4:
-        raise HypothesisViolation(f"t == (m+1)/4 fails for {w}")
-    if checked_mul(w.a * w.t, n) % w.k:
-        raise HypothesisViolation(f"a*t*n is not divisible by k={w.k} for {w}")
-
 
 def _construct(n: int, w: Th3Params, method: Method) -> UnitTriple:
-    _validate(n, w)
+    """The triple (a*t*n/k, a*t*(n/delta), t*n), checked by make_triple."""
     at = w.a * w.t
-    atn = checked_mul(at, n)
-    x1 = atn // w.k
+    x1 = checked_mul(at, n) // w.k
     x2 = checked_mul(at, n // w.delta)
     x3 = checked_mul(w.t, n)
     return make_triple((x1, x2, x3), 4, n, method)
-
-
-def theorem3_construct(n: int, params: Th3Params) -> UnitTriple:
-    """Build and validate the triple (a*t*n/k, a*t*(n/delta), t*n) for 4/n.
-
-    Violated witness requirements raise HypothesisViolation; a built triple
-    with repeated parts raises ConstructionError.  When n has no divisor
-    3 (mod 4) that cannot happen; outside that hypothesis (n = 3, say) it
-    can, and the error is raised instead of a triple being returned.
-    """
-    return _construct(n, params, Method.THEOREM_3_SEARCH)
 
 
 @lru_cache(maxsize=1 << 14)
@@ -103,9 +63,10 @@ def _m_candidates(s: int) -> tuple[int, ...]:
 
     Only odd divisors can be 3 mod 4, so only those are built, from the
     odd primes of s.  A product of primes 1 mod 4 is 1 mod 4, so an s with
-    no prime factor 3 mod 4 returns () without building any.
+    no prime factor 3 mod 4 returns () without building any.  s is factored
+    past factorize's cache: the result is kept here, and few sums recur.
     """
-    pairs = factorize(s) if s > 1 else ()
+    pairs = _factor(s) if s > 1 else ()
     if pairs and pairs[0][0] == 2:
         pairs = pairs[1:]
     if not any(p % 4 == 3 for p, _ in pairs):
@@ -162,40 +123,22 @@ def theorem3_search(
     return None
 
 
-def _theorem4_attempt(n: int, delta: int, d: int) -> tuple[UnitTriple, Th3Params] | None:
-    ms = _m_candidates(delta + d)
-    if not ms:
-        return None
-    w = Th3Params.from_divisor_k_m(delta, d, ms[0])
-    return _construct(n, w, Method.THEOREM_4), w
-
-
-def theorem4_construct(n: int, delta: int, d: int) -> tuple[UnitTriple, Th3Params] | None:
-    """Witness with k = d for divisors delta, d of n.
-
-    Uses the smallest divisor of delta + d congruent to 3 mod 4 (any one
-    works, smallest keeps the parts minimal); returns None when there is
-    none.  The congruence on a*t*n holds automatically because d | n.
-    """
-    if n < 1 or n % 2 == 0:
-        raise HypothesisViolation(f"n must be odd and positive, got {n}")
-    if delta < 1 or n % delta or d < 1 or n % d:
-        raise HypothesisViolation(f"delta={delta} and d={d} must divide n={n}")
-    return _theorem4_attempt(n, delta, d)
-
-
 def theorem4_search(n: int) -> tuple[UnitTriple, Th3Params] | None:
     """First divisor pair (delta, d) of n, in ascending lexicographic order,
-    whose sum admits a qualifying m and whose triple validates."""
+    whose sum admits a qualifying m and whose triple validates.
+
+    The witness takes k = d, so k | a*t*n holds as d | n, and the least
+    m = 3 (mod 4) dividing delta + d, which keeps the parts smallest.
+    """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"theorem4_search needs odd n >= 3, got {n}")
     divs = divisors(n)
     for delta in divs:
         for d in divs:
-            try:
-                found = _theorem4_attempt(n, delta, d)
-            except ConstructionError:
-                continue
-            if found is not None:
-                return found
+            for m in _m_candidates(delta + d)[:1]:
+                w = Th3Params(delta, d, m, (delta + d) // m, (m + 1) // 4)
+                try:
+                    return _construct(n, w, Method.THEOREM_4), w
+                except ConstructionError:
+                    pass
     return None

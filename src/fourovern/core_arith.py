@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd as _math_gcd, isqrt, prod
+from math import gcd, isqrt, prod
 from typing import Iterator, Sequence
 
 INT128_MAX = (1 << 127) - 1
@@ -59,15 +59,6 @@ def checked_mul(a: int, b: int) -> int:
     return r
 
 
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two nonnegative integers, not both zero."""
-    if a < 0 or b < 0:
-        raise ValueError(f"gcd expects nonnegative inputs, got ({a}, {b})")
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return _math_gcd(a, b)
-
-
 @dataclass(frozen=True)
 class Fraction:
     """A positive rational, always stored reduced."""
@@ -78,7 +69,7 @@ class Fraction:
     def __post_init__(self) -> None:
         if self.num < 1 or self.den < 1:
             raise ValueError(f"fraction must be positive: {self.num}/{self.den}")
-        g = _math_gcd(self.num, self.den)
+        g = gcd(self.num, self.den)
         if g > 1:
             object.__setattr__(self, "num", self.num // g)
             object.__setattr__(self, "den", self.den // g)
@@ -168,14 +159,14 @@ def _rho_factor(n: int) -> int:
                 for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
-                g = _math_gcd(q, n)
+                g = gcd(q, n)
                 k += 128
             r *= 2
         if g == n:  # the batch overshot: replay it one step at a time
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = _math_gcd(abs(x - ys), n)
+                g = gcd(abs(x - ys), n)
         if g != n:
             return g
     raise ArithmeticError(f"rho found no factor of {n}")
@@ -196,8 +187,8 @@ _screen_product = 0
 _screen_primes: list[int] = []
 
 
-@lru_cache(maxsize=1 << 16)
-def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
+def _factor(n: int) -> tuple[tuple[int, int], ...]:
+    """factorize(n) for n >= 2, without the cache."""
     global _screen_product, _screen_primes
     if not _screen_product:
         _screen_primes = primes_up_to(_TRIAL_BOUND)[1:]
@@ -206,7 +197,7 @@ def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
     pairs: list[tuple[int, int]] = [(2, low.bit_length() - 1)] if low > 1 else []
     m = n // low
     # g is the squarefree product of the odd primes <= _TRIAL_BOUND dividing m
-    g = _math_gcd(m, _screen_product)
+    g = gcd(m, _screen_product)
     small: list[int] = []
     for p in _screen_primes:
         if p * p > g:
@@ -235,6 +226,10 @@ def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
         else:
             pairs.append((p, 1))
     return tuple(pairs)
+
+
+# the cache behind factorize and divisors, so each n is factored once
+_factor_pairs = lru_cache(maxsize=1 << 16)(_factor)
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
@@ -303,10 +298,10 @@ def unit_sum(xs: Sequence[int]) -> Fraction:
         if x < 1:
             raise ValueError(f"unit fractions need positive denominators, got {x}")
         # the running denominator stays at the lcm of the parts so far
-        g = _math_gcd(den, x)
+        g = gcd(den, x)
         num = checked_add(checked_mul(num, x // g), den // g)
         den = checked_mul(den // g, x)
-        g = _math_gcd(num, den)
+        g = gcd(num, den)
         num //= g
         den //= g
     return Fraction(num, den)

@@ -7,9 +7,8 @@ n/a < x <= 3n/a the residual reduces to p/q, and every completion
 d <= q of q*q with d = -q (mod p).  Work is therefore bounded by divisor
 counts rather than magnitudes.
 
-enumerate_three_term_naive is the quadratic double loop over x and y,
-kept as a second, independent implementation for cross-checking at
-small n.
+The tests cross-check it at small n against a second, independent
+implementation: the quadratic double loop over x and y in tests/naive.py.
 """
 
 from __future__ import annotations
@@ -156,31 +155,3 @@ def first_solution(a: int, n: int) -> UnitTriple | None:
 def count_solutions(a: int, n: int, distinct_only: bool = True) -> int:
     """Number of triples for a/n (no limit)."""
     return len(enumerate_three_term(OracleQuery(a, n, distinct_only, None)))
-
-
-def enumerate_three_term_naive(a: int, n: int, distinct_only: bool = True) -> list[tuple[int, int, int]]:
-    """Independent cross-check: double loop over x and y with exact residual
-    checks.  Quadratic, only meant for small n.
-
-    All intermediates stay far below the working width for the n this is
-    used on, so plain integer arithmetic is safe here.
-    """
-    if a < 1 or n < 1:
-        raise ValueError(f"a and n must be positive, got ({a}, {n})")
-    out = []
-    for x in range(n // a + 1, 3 * n // a + 1):
-        rnum = a * x - n
-        rden = n * x
-        g = _math_gcd(rnum, rden)
-        p, q = rnum // g, rden // g
-        ystart = max(x + (1 if distinct_only else 0), q // p + 1)
-        for y in range(ystart, 2 * q // p + 1):
-            znum = p * y - q
-            zden = q * y
-            if zden % znum:
-                continue
-            z = zden // znum
-            if distinct_only and z == y:
-                continue
-            out.append((x, y, z))
-    return out

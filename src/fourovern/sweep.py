@@ -219,7 +219,10 @@ def emit_report(records: list[SweepRecord], format: str, destination: str | Path
 
 
 def load_report(source: str | Path, format: str | None = None) -> list[SweepRecord]:
-    """Read a report back; format inferred from the content when not given."""
+    """Read a report back; format inferred from the content when not given.
+
+    A row or element that is not a record raises ValueError naming it.
+    """
     path = Path(source)
     try:
         text = path.read_text(encoding="utf-8")
@@ -228,8 +231,17 @@ def load_report(source: str | Path, format: str | None = None) -> list[SweepReco
     if format is None:
         format = "json" if text.lstrip().startswith("[") else "csv"
     if format == "json":
-        return [record_from_obj(obj) for obj in json.loads(text)]
-    return [_record_from_csv_row(row) for row in csv.reader(text.splitlines()) if row]
+        items, parse, kind = json.loads(text), record_from_obj, "element"
+    else:
+        items = [row for row in csv.reader(text.splitlines()) if row]
+        parse, kind = _record_from_csv_row, "row"
+    records = []
+    for i, item in enumerate(items, 1):
+        try:
+            records.append(parse(item))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {kind} {i} is not a record: {exc!r}") from exc
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
-from .core_arith import Fraction, checked_mul, gcd, unit_sum
+from .core_arith import Fraction, checked_mul, unit_sum
 from .triples import ConstructionError
 
 

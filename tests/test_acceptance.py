@@ -12,15 +12,12 @@ from fractions import Fraction as PyFraction
 from fourovern.construct_th2 import path_3mod4, path_prime_13mod24, theorem2_dispatch
 from fourovern.construct_th34 import theorem3_search, theorem4_search
 from fourovern.core_arith import Fraction, factorize, unit_sum
-from fourovern.oracle import (
-    OracleQuery,
-    enumerate_three_term,
-    enumerate_three_term_naive,
-    first_solution,
-)
+from fourovern.oracle import OracleQuery, enumerate_three_term, first_solution
 from fourovern.sweep import SweepConfig, Status, classify_hard, emit_report, solve, sweep_range
 from fourovern.triples import Method
 from fourovern.two_term import enumerate_two_term, solve_two_term
+
+from naive import enumerate_three_term_naive
 
 # sha256 of the CSV report for the sweep [3, 1e5]
 REFERENCE_CSV_SHA256 = "d1f31791d74d27be4043b84607ec2c5aeddc235e19853061768463ff1f491436"

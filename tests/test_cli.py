@@ -145,6 +145,22 @@ class TestStats:
     def test_missing_report_exits_three(self, tmp_path):
         assert cli_main(["stats", str(tmp_path / "nope.csv")]) == 3
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "7,Mod4Is3,3,6,14,Solved,maybe\n",                     # hard cell not a bool
+            '[{"n": 7, "x1": 3, "x2": 6, "x3": 14, "status": "Solved", "hard": false}]',
+            "[7]",                                                   # element not an object
+        ],
+        ids=["csv-hard-maybe", "json-no-method", "json-not-object"],
+    )
+    def test_malformed_report_exits_two(self, tmp_path, capsys, text):
+        report = tmp_path / "bad"
+        report.write_text(text)
+        assert cli_main(["stats", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and " 1 is not a record" in err
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):

@@ -7,21 +7,48 @@ from hypothesis import strategies as st
 
 from fourovern.construct_th34 import (
     DEFAULT_K_BOUND,
-    HypothesisViolation,
     Th3Params,
     _m_candidates,
-    theorem3_construct,
     theorem3_search,
-    theorem4_construct,
     theorem4_search,
 )
 from fourovern.core_arith import divisors, factorize
-from fourovern.triples import ConstructionError
+from fourovern.triples import ConstructionError, Method, make_triple
 
 
-def check_exact(triple, n):
-    assert sum(PyFraction(1, x) for x in triple.values) == PyFraction(4, n)
-    assert triple.x1 < triple.x2 < triple.x3
+def check_exact(values, n):
+    assert sum(PyFraction(1, x) for x in values) == PyFraction(4, n)
+    assert values[0] < values[1] < values[2]
+
+
+def witness_triple(n, w):
+    """The sorted parts (a*t*n/k, a*t*(n/delta), t*n) of witness w for 4/n.
+
+    Plain integers, independent of the package; every requirement on the
+    witness is asserted first.
+    """
+    assert n > 0 and n % 2 == 1, n
+    assert w.delta > 0 and n % w.delta == 0, (n, w)
+    assert w.k > 0 and w.k % 2 == 1, w
+    assert w.m > 0 and w.m % 4 == 3, w
+    assert w.a * w.m == w.delta + w.k, w
+    assert w.t == (w.m + 1) // 4, w
+    at = w.a * w.t
+    assert at * n % w.k == 0, (n, w)
+    return tuple(sorted((at * n // w.k, at * (n // w.delta), w.t * n)))
+
+
+# odd n <= 3001 and the hard n <= 1e4 (every prime factor 1 mod 24)
+ODD_AND_HARD = list(range(3, 3002, 2)) + [
+    n for n in range(3025, 10_001, 24) if all(p % 24 == 1 for p, _ in factorize(n))
+]
+
+
+def check_search_result(n, found):
+    """A search's (triple, witness): the witness holds and builds the triple."""
+    triple, w = found
+    assert triple.values == witness_triple(n, w), (n, w)
+    check_exact(triple.values, n)
 
 
 def has_divisor_3_mod_4(n):
@@ -47,31 +74,17 @@ class TestHasDivisor3Mod4:
             assert has_divisor_3_mod_4(n) is want, n
 
 
-class TestTh3Params:
-    def test_from_divisor_k_m(self):
-        w = Th3Params.from_divisor_k_m(5, 1, 3)
-        assert w == Th3Params(delta=5, k=1, m=3, a=2, t=1)
-
-    def test_no_qualifying_m(self):
-        # delta + k = 2 has no divisor congruent to 3 mod 4
-        with pytest.raises(HypothesisViolation):
-            Th3Params.from_divisor_k_m(1, 1, 3)
-
-    def test_wrong_m_residue(self):
-        with pytest.raises(HypothesisViolation):
-            Th3Params.from_divisor_k_m(5, 4, 9)
-
-
 class TestTheorem3Construct:
+    """The construction from one witness, through witness_triple."""
+
     def test_worked_witness(self):
-        t = theorem3_construct(25, Th3Params(5, 1, 3, 2, 1))
-        assert t.values == (10, 25, 50)
-        check_exact(t, 25)
+        values = witness_triple(25, Th3Params(5, 1, 3, 2, 1))
+        assert values == (10, 25, 50)
+        check_exact(values, 25)
 
     def test_second_witness_same_triple(self):
         # delta=25, k=5, m=3 gives a=10, t=1 and the parts 50, 10, 25
-        t = theorem3_construct(25, Th3Params(25, 5, 3, 10, 1))
-        assert t.values == (10, 25, 50)
+        assert witness_triple(25, Th3Params(25, 5, 3, 10, 1)) == (10, 25, 50)
 
     @pytest.mark.parametrize(
         "n,w",
@@ -87,23 +100,27 @@ class TestTheorem3Construct:
         ],
     )
     def test_hypothesis_violations(self, n, w):
-        with pytest.raises(HypothesisViolation):
-            theorem3_construct(n, w)
+        # each broken witness is rejected, so the replays below are not vacuous
+        with pytest.raises(AssertionError):
+            witness_triple(n, w)
 
     def test_congruence_violation(self):
         # delta=1, k=5, m=3 over n=13: a*t*n = 26, not divisible by 5
-        with pytest.raises(HypothesisViolation):
-            theorem3_construct(13, Th3Params(1, 5, 3, 2, 1))
+        with pytest.raises(AssertionError):
+            witness_triple(13, Th3Params(1, 5, 3, 2, 1))
 
     def test_distinctness_failure_is_construction_error(self):
         # n=3 breaks the no-divisor-3-mod-4 hypothesis and the parts collide
+        values = witness_triple(3, Th3Params(3, 3, 3, 2, 1))
+        assert values == (2, 2, 3)
         with pytest.raises(ConstructionError):
-            theorem3_construct(3, Th3Params(3, 3, 3, 2, 1))
+            make_triple(values, 4, 3, Method.THEOREM_3_SEARCH)
 
     def test_validates_outside_hypothesis(self):
         # n=15 has divisors 3 and 15 congruent to 3 mod 4; the witness still works
-        t = theorem3_construct(15, Th3Params(5, 1, 3, 2, 1))
-        check_exact(t, 15)
+        values = witness_triple(15, Th3Params(5, 1, 3, 2, 1))
+        check_exact(values, 15)
+        assert make_triple(values, 4, 15, Method.THEOREM_3_SEARCH).values == values
 
 
 class TestTheorem3Search:
@@ -122,13 +139,13 @@ class TestTheorem3Search:
         triple, w = theorem3_search(73, 99)
         assert w == Th3Params(73, 5, 39, 2, 10)
         assert triple.values == (20, 292, 730)
-        check_exact(triple, 73)
+        check_exact(triple.values, 73)
 
     def test_hard_prime_default_bound(self):
         triple, w = theorem3_search(73, 999)
         assert w == Th3Params(1, 219, 11, 20, 3)
         assert triple.values == (20, 219, 4380)
-        check_exact(triple, 73)
+        check_exact(triple.values, 73)
 
     def test_exhaustion_is_none(self):
         # no odd k <= 3 admits a witness for 73
@@ -139,12 +156,11 @@ class TestTheorem3Search:
             theorem3_search(10, 99)
 
     def test_witness_replay(self):
-        for n in [5, 13, 25, 65, 73, 85, 97, 145]:
+        for n in ODD_AND_HARD:
             found = theorem3_search(n, 999)
             if found is None:
                 continue
-            triple, w = found
-            assert theorem3_construct(n, w) == triple
+            check_search_result(n, found)
 
 
 @lru_cache(maxsize=None)
@@ -187,7 +203,8 @@ def unpruned_theorem3_search(n, k_bound, m_list=brute_m_list):
     """The full delta, k, m scan that theorem3_search prunes: every odd k.
 
     Its m come from m_list: a brute-force divisor scan by default, so the
-    reference does not share the factorizer behind _m_candidates.
+    reference does not share the factorizer behind _m_candidates.  Returns
+    the first witness with distinct parts as (parts, witness).
     """
     for delta in divisors(n):
         for k in range(1, k_bound + 1, 2):
@@ -197,47 +214,51 @@ def unpruned_theorem3_search(n, k_bound, m_list=brute_m_list):
                 if a * t * n % k:
                     continue
                 w = Th3Params(delta, k, m, a, t)
-                try:
-                    return theorem3_construct(n, w), w
-                except ConstructionError:
-                    continue
+                values = witness_triple(n, w)
+                if values[0] < values[1] < values[2]:
+                    return values, w
     return None
+
+
+def parts_and_witness(found):
+    return None if found is None else (found[0].values, found[1])
 
 
 class TestPrunedScanMatchesFullScan:
     @pytest.mark.parametrize("k_bound", [1, 2, 3, 7, 25, 101, 999])
     def test_small_odd_n(self, k_bound):
         for n in range(3, 3002, 2):
-            assert theorem3_search(n, k_bound) == unpruned_theorem3_search(n, k_bound), n
+            found = theorem3_search(n, k_bound)
+            assert parts_and_witness(found) == unpruned_theorem3_search(n, k_bound), n
 
     # hard primes, and n = 3, whose delta=3, k=3, m=3 witness collides
     # (ConstructionError) before the scan goes on and ends in None
     @pytest.mark.parametrize("k_bound", [1, 3, 99, 999])
     @pytest.mark.parametrize("n", [3, 73, 97, 193])
     def test_hard_primes_and_three(self, n, k_bound):
-        assert theorem3_search(n, k_bound) == unpruned_theorem3_search(n, k_bound)
+        found = theorem3_search(n, k_bound)
+        assert parts_and_witness(found) == unpruned_theorem3_search(n, k_bound)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=1, max_value=10**12 // 2 - 1))
     def test_large_odd_n(self, half):
         n = 2 * half + 1
         # brute force over delta + k up to 1e12 is infeasible, so m comes from divisors
-        assert theorem3_search(n) == unpruned_theorem3_search(n, DEFAULT_K_BOUND, divisor_m_list)
+        assert parts_and_witness(theorem3_search(n)) == unpruned_theorem3_search(
+            n, DEFAULT_K_BOUND, divisor_m_list
+        )
 
 
 class TestTheorem4:
     def test_construct_square(self):
-        triple, w = theorem4_construct(25, 5, 1)
-        assert triple.values == (10, 25, 50)
-        assert w.m == 3 and w.k == 1
+        # the pair delta=5, d=1 of 25: the smallest m dividing 6 is 3
+        m = _m_candidates(5 + 1)[0]
+        assert m == 3
+        assert witness_triple(25, Th3Params(5, 1, m, 6 // m, (m + 1) // 4)) == (10, 25, 50)
 
     def test_construct_no_m(self):
-        assert theorem4_construct(73, 73, 1) is None  # 74 = 2 * 37
-        assert theorem4_construct(5, 1, 1) is None    # 2 has no such divisor
-
-    def test_construct_bad_divisors(self):
-        with pytest.raises(HypothesisViolation):
-            theorem4_construct(25, 3, 1)
+        assert _m_candidates(73 + 1) == ()  # 74 = 2 * 37
+        assert _m_candidates(1 + 1) == ()   # 2 has no such divisor
 
     def test_search_square(self):
         triple, w = theorem4_search(25)
@@ -249,18 +270,23 @@ class TestTheorem4:
         assert triple.values == (4, 26, 52)
         assert (w.delta, w.k, w.m) == (1, 13, 7)
 
+    def test_search_takes_smallest_m(self):
+        # 1 + 41 = 42 has the divisors 3 and 7 that are 3 mod 4
+        assert _m_candidates(42) == (3, 7)
+        triple, w = theorem4_search(41)
+        assert w == Th3Params(1, 41, 3, 14, 1)
+        assert triple.values == (14, 41, 574)
+
     def test_search_exhausted(self):
         assert theorem4_search(73) is None  # pair sums 2, 74, 146 have no 3 mod 4 divisor
 
     def test_search_replay(self):
-        for n in [5, 13, 25, 65, 97, 145, 169]:
+        for n in ODD_AND_HARD:
             found = theorem4_search(n)
             if found is None:
                 continue
-            triple, w = found
-            assert w.k in divisors(n)
-            rebuilt = theorem3_construct(n, w)
-            assert rebuilt.values == triple.values
+            assert found[1].k in divisors(n)
+            check_search_result(n, found)
 
     def test_th4_witness_accepted_by_th3_machinery(self):
         # a theorem4 witness is a theorem3 witness with k = d; the bounded
@@ -271,9 +297,7 @@ class TestTheorem4:
             found4 = theorem4_search(n)
             if found4 is None:
                 continue
-            triple4, w4 = found4
-            rebuilt = theorem3_construct(n, w4)
-            assert rebuilt.values == triple4.values
+            check_search_result(n, found4)
             assert theorem3_search(n, max(999, n)) is not None
 
 
@@ -292,5 +316,4 @@ class TestDistinctnessArgument:
                         t = (m + 1) // 4
                         if (a * t * n) % k:
                             continue
-                        triple = theorem3_construct(n, Th3Params(delta, k, m, a, t))
-                        assert triple.x1 < triple.x2 < triple.x3
+                        check_exact(witness_triple(n, Th3Params(delta, k, m, a, t)), n)

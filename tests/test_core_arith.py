@@ -14,40 +14,10 @@ from fourovern.core_arith import (
     checked_mul,
     divisors,
     factorize,
-    gcd,
     is_prime,
     primes_up_to,
     unit_sum,
 )
-
-
-class TestGcd:
-    @pytest.mark.parametrize(
-        "a,b,want",
-        [(12, 18, 6), (7, 1, 1), (0, 5, 5), (5, 0, 5), (1, 1, 1), (24, 36, 12)],
-    )
-    def test_examples(self, a, b, want):
-        assert gcd(a, b) == want
-
-    def test_both_zero_rejected(self):
-        with pytest.raises(ValueError):
-            gcd(0, 0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            gcd(-4, 6)
-
-    @given(st.integers(0, 10**12), st.integers(0, 10**12))
-    def test_divides_both_and_lcm_identity(self, a, b):
-        if a == 0 and b == 0:
-            return
-        g = gcd(a, b)
-        assert (a == 0 or a % g == 0) and (b == 0 or b % g == 0)
-        for d in range(1, 25):
-            if (a % d == 0) and (b % d == 0):
-                assert g % d == 0
-        if a and b:
-            assert a * b == g * math.lcm(a, b)
 
 
 class TestCheckedOps:

@@ -10,11 +10,12 @@ from fourovern.oracle import (
     OracleQuery,
     count_solutions,
     enumerate_three_term,
-    enumerate_three_term_naive,
     first_solution,
 )
 from fourovern.construct_th2 import theorem2_dispatch
 from fourovern.triples import Method
+
+from naive import enumerate_three_term_naive
 
 
 def tuples(triples):
