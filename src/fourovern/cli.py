@@ -118,7 +118,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         start=args.start,
         end=args.end,
         workers=args.workers,
-        k_bound=args.k_bound,
         checkpoint_path=args.checkpoint,
     )
     if args.report:
@@ -174,8 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", type=int)
     p.add_argument("n", type=int)
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--first", action="store_true", help="print the first triple (default)")
-    mode.add_argument("--all", action="store_true", help="print every triple")
+    mode.add_argument("--all", action="store_true", help="print every triple, not only the first")
     mode.add_argument("--count", action="store_true", help="print the number of triples")
     p.add_argument("--allow-repeats", action="store_true", help="allow equal parts")
     p.add_argument("--limit", type=int, default=None, help="cap --all output")
@@ -188,7 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None, help="JSON-lines checkpoint path (resumable)")
     p.add_argument("--report", default=None, help="report destination (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--k-bound", type=int, default=DEFAULT_K_BOUND)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("stats", help="method histogram and hard-class count of a report")

@@ -61,10 +61,11 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """Sweep [start, end]; every n is solved with solve's default k_bound."""
+
     start: int
     end: int
     workers: int = 1
-    k_bound: int = DEFAULT_K_BOUND
     checkpoint_path: str | Path | None = None
 
     def __post_init__(self) -> None:
@@ -72,8 +73,6 @@ class SweepConfig:
             raise ValueError(f"need 2 <= start <= end, got [{self.start}, {self.end}]")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.k_bound < 1:
-            raise ValueError(f"k_bound must be >= 1, got {self.k_bound}")
 
 
 def classify_hard(n: int) -> bool:
@@ -144,16 +143,22 @@ def record_to_obj(rec: SweepRecord) -> dict:
     }
 
 
+def _record(n, method, x1, x2, x3, status, hard) -> SweepRecord:
+    """The record with these fields if they have the types the writers emit:
+    int n, bool hard, known tags, and three int parts iff status is Solved."""
+    method = Method(method) if method is not None else None
+    status = Status(status)
+    want = int if status is Status.SOLVED else type(None)
+    if not (type(n) is int and type(hard) is bool and type(x1) is type(x2) is type(x3) is want):
+        raise ValueError(
+            f"n={n!r}, parts ({x1!r}, {x2!r}, {x3!r}), hard={hard!r}: not a {status.value} record"
+        )
+    return SweepRecord(n, method, x1, x2, x3, status, hard)
+
+
 def record_from_obj(obj: dict) -> SweepRecord:
-    method = obj["method"]
-    return SweepRecord(
-        n=int(obj["n"]),
-        method=Method(method) if method is not None else None,
-        x1=obj["x1"],
-        x2=obj["x2"],
-        x3=obj["x3"],
-        status=Status(obj["status"]),
-        hard=bool(obj["hard"]),
+    return _record(
+        obj["n"], obj["method"], obj["x1"], obj["x2"], obj["x3"], obj["status"], obj["hard"]
     )
 
 
@@ -173,15 +178,9 @@ def _record_from_csv_row(row: list[str]) -> SweepRecord:
     if len(row) != len(CSV_COLUMNS):
         raise ValueError(f"expected {len(CSV_COLUMNS)} columns, got {row!r}")
     n, method, x1, x2, x3, status, hard = row
-    return SweepRecord(
-        n=int(n),
-        method=Method(method) if method else None,
-        x1=int(x1) if x1 else None,
-        x2=int(x2) if x2 else None,
-        x3=int(x3) if x3 else None,
-        status=Status(status),
-        hard={"true": True, "false": False}[hard],
-    )
+    x1, x2, x3 = (int(x) if x else None for x in (x1, x2, x3))
+    hard = {"true": True, "false": False}[hard]
+    return _record(int(n), method or None, x1, x2, x3, status, hard)
 
 
 def write_report(records: Iterable[SweepRecord], format: str, fh: TextIO) -> None:
@@ -285,8 +284,9 @@ def _load_checkpoint(
     prefix's length in bytes.
 
     The prefix ends before the first line that is not newline-terminated
-    or does not parse as a record: a crash mid-write leaves such a torn
-    tail, and everything from it on is recomputed.
+    or is not a record as record_to_obj writes it (see _record): a crash
+    mid-write leaves such a torn tail, and everything from it on is
+    recomputed.
     """
     p = Path(path)
     if not p.exists():
@@ -308,23 +308,22 @@ def _load_checkpoint(
     return done, intact
 
 
-def _solve_block(args: tuple[list[int], int]) -> list[SweepRecord]:
-    ns, k_bound = args
-    return [solve(n, k_bound) for n in ns]
+def _solve_block(ns: list[int]) -> list[SweepRecord]:
+    return [solve(n) for n in ns]
 
 
-def _solve_stream(pending: list[int], k_bound: int, workers: int) -> Iterator[SweepRecord]:
+def _solve_stream(pending: list[int], workers: int) -> Iterator[SweepRecord]:
     if not pending:
         return
     if workers == 1:
         for n in pending:
-            yield solve(n, k_bound)
+            yield solve(n)
         return
     # Fixed-size blocks picked up by whichever worker is free; results are
     # consumed in submission order, so output never depends on scheduling.
     blocks = [pending[i : i + _BLOCK_SIZE] for i in range(0, len(pending), _BLOCK_SIZE)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for records in pool.map(_solve_block, [(b, k_bound) for b in blocks]):
+        for records in pool.map(_solve_block, blocks):
             yield from records
 
 
@@ -343,7 +342,7 @@ def sweep_range(config: SweepConfig) -> list[SweepRecord]:
         writer = _CheckpointWriter(config.checkpoint_path, intact)
     try:
         pending = [n for n in range(config.start, config.end + 1) if n not in done]
-        for rec in _solve_stream(pending, config.k_bound, config.workers):
+        for rec in _solve_stream(pending, config.workers):
             done[rec.n] = rec
             if writer is not None:
                 writer.append(rec)

@@ -151,8 +151,20 @@ class TestStats:
             "7,Mod4Is3,3,6,14,Solved,maybe\n",                     # hard cell not a bool
             '[{"n": 7, "x1": 3, "x2": 6, "x3": 14, "status": "Solved", "hard": false}]',
             "[7]",                                                   # element not an object
+            '[{"n": 7, "method": "Mod4Is3", "x1": 3, "x2": 6, "x3": 14, "status": "Solved",'
+            ' "hard": "false"}]',
+            '[{"n": 7, "method": "Mod4Is3", "x1": "3", "x2": 6, "x3": 14, "status": "Solved",'
+            ' "hard": false}]',
+            '[{"n": 7, "method": "Mod4Is3", "x1": 3, "x2": 6.5, "x3": 14, "status": "Solved",'
+            ' "hard": false}]',
+            '[{"n": 7, "method": "Mod4Is3", "x1": 3, "x2": 6, "x3": null, "status": "Solved",'
+            ' "hard": false}]',
+            "7,Mod4Is3,3,6,,Solved,false\n",                        # Solved without x3
         ],
-        ids=["csv-hard-maybe", "json-no-method", "json-not-object"],
+        ids=[
+            "csv-hard-maybe", "json-no-method", "json-not-object", "json-hard-string",
+            "json-x1-string", "json-x2-float", "json-solved-x3-null", "csv-solved-no-x3",
+        ],
     )
     def test_malformed_report_exits_two(self, tmp_path, capsys, text):
         report = tmp_path / "bad"
@@ -165,6 +177,15 @@ class TestStats:
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert cli_main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "3", "10", "--k-bound", "3"], ["oracle", "4", "73", "--first"]],
+        ids=["sweep-k-bound", "oracle-first"],
+    )
+    def test_removed_options(self, capsys, argv):
+        assert cli_main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_args(self, capsys):
         assert cli_main(["decompose"]) == 2

@@ -167,6 +167,8 @@ class TestSweepRange:
             SweepConfig(1, 10)
         with pytest.raises(ValueError):
             SweepConfig(3, 10, workers=0)
+        with pytest.raises(TypeError):
+            SweepConfig(3, 10, k_bound=3)  # sweeps always use solve's default bound
 
     def test_one_record_per_n_in_order(self):
         records = sweep_range(SweepConfig(3, 120))
@@ -205,16 +207,19 @@ class TestSweepRange:
         again = sweep_range(SweepConfig(3, 60, checkpoint_path=ck))
         assert again == want
 
-    @pytest.mark.parametrize("tail", ['{"n":1001,"meth', "complete", "5\n"])
+    @pytest.mark.parametrize("tail", ['{"n":1001,"meth', "complete", "5\n", "string-hard"])
     def test_resume_cuts_torn_tail(self, tmp_path, tail):
-        # a tail that is not a whole newline-terminated record is cut before
-        # appending, so repeated resumes neither glue records onto it nor
-        # drop the records written after it
+        # a tail that is not a whole newline-terminated record as the writer
+        # emits it is cut before appending, so repeated resumes neither keep
+        # it, glue records onto it, nor drop the records written after it
         fresh = sweep_range(SweepConfig(3, 3000))
         ck = tmp_path / "sweep.jsonl"
         sweep_range(SweepConfig(3, 1000, checkpoint_path=ck))
         if tail == "complete":
             tail = json.dumps(record_to_obj(solve(1001)), separators=(",", ":"))
+        elif tail == "string-hard":
+            obj = {**record_to_obj(solve(1001)), "hard": "false"}
+            tail = json.dumps(obj, separators=(",", ":")) + "\n"
         with open(ck, "a") as fh:
             fh.write(tail)
         for _ in range(2):
