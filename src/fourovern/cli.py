@@ -10,22 +10,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
+from contextlib import closing
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .construct_th34 import DEFAULT_K_BOUND
 from .core_arith import CheckedOverflowError, is_prime
 from .oracle import OracleQuery, enumerate_three_term
 from .sweep import (
     SweepConfig,
-    SweepRecord,
     Status,
-    emit_report,
+    emit_rows,
     load_report,
     method_histogram,
     record_to_obj,
     solve,
-    sweep_range,
-    write_report,
+    sweep_rows,
+    write_rows,
 )
 from .two_term import solve_two_term
 
@@ -96,21 +98,20 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _probe_writable(path: str) -> None:
-    try:
-        with open(path, "a", encoding="utf-8"):
-            pass
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
+def _tally(counts: Counter) -> tuple[int, int, int, int]:
+    """Solved, no-distinct, error and hard counts from counts of status tags
+    and of "hard"."""
+    return (counts[Status.SOLVED.value], counts[Status.NO_DISTINCT_SOLUTION.value],
+            counts[Status.ERROR.value], counts["hard"])
 
 
-def _tally(records: list[SweepRecord]) -> tuple[int, int, int, int]:
-    """Counts of solved, no-distinct, error and hard records."""
-    solved = sum(r.status is Status.SOLVED for r in records)
-    missing = sum(r.status is Status.NO_DISTINCT_SOLUTION for r in records)
-    errors = sum(r.status is Status.ERROR for r in records)
-    hard = sum(r.hard for r in records)
-    return solved, missing, errors, hard
+def _counted(rows: Iterable[tuple], counts: Counter) -> Iterator[tuple]:
+    """rows, passed through while counting their status tags and, as "hard",
+    the hard ones."""
+    for row in rows:
+        counts[row[5]] += 1
+        counts["hard"] += row[6]
+        yield row
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -120,24 +121,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers,
         checkpoint_path=args.checkpoint,
     )
-    if args.report:
-        _probe_writable(args.report)
-    records = sweep_range(config)
-    if args.report:
-        emit_report(records, args.format, args.report)
-        solved, missing, errors, hard = _tally(records)
-        print(
-            f"{len(records)} records -> {args.report}"
-            f" (solved {solved}, no-distinct {missing}, errors {errors}, hard {hard})"
-        )
-    else:
-        write_report(records, args.format, sys.stdout)
+    # closing: a report write that fails still stops the pool and closes the checkpoint
+    with closing(sweep_rows(config)) as rows:
+        if not args.report:
+            write_rows(rows, args.format, sys.stdout)
+            return 0
+        counts: Counter = Counter()
+        emit_rows(_counted(rows, counts), args.format, args.report)
+    solved, missing, errors, hard = _tally(counts)
+    print(
+        f"{solved + missing + errors} records -> {args.report}"
+        f" (solved {solved}, no-distinct {missing}, errors {errors}, hard {hard})"
+    )
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     records = load_report(args.report_path)
-    solved, missing, errors, hard = _tally(records)
+    counts = Counter(r.status.value for r in records)
+    counts["hard"] = sum(r.hard for r in records)
+    solved, missing, errors, hard = _tally(counts)
     print(
         f"records: {len(records)}  solved: {solved}  no-distinct: {missing}"
         f"  errors: {errors}  hard: {hard}"

@@ -6,10 +6,10 @@ witness search, then the exhaustive oracle.  n = 2 genuinely has no
 decomposition into three distinct unit fractions and is reported as such,
 not as an error.
 
-sweep_range produces one record per n, ordered by n and byte-identical
-regardless of worker count.  A checkpoint is a JSON-lines file, appended
-in n order and fsynced every 1000 records, so a killed sweep resumes from
-its completed prefix.
+sweep_rows streams one row per n, ordered by n and byte-identical
+regardless of worker count; sweep_range collects it into records.  A
+checkpoint is a JSON-lines file, appended in n order and fsynced every
+1000 records, so a killed sweep resumes from its completed prefix.
 """
 
 from __future__ import annotations
@@ -17,9 +17,11 @@ from __future__ import annotations
 import csv
 import json
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -33,6 +35,7 @@ CSV_COLUMNS = ("n", "method", "x1", "x2", "x3", "status", "hard")
 
 _FSYNC_EVERY = 1000
 _BLOCK_SIZE = 128
+_IN_FLIGHT = 4
 
 
 class Status(Enum):
@@ -130,48 +133,60 @@ def solve(n: int, k_bound: int = DEFAULT_K_BOUND) -> SweepRecord:
 
 # ---------------------------------------------------------------------------
 # serialization
+#
+# A row is the plain tuple (n, method tag or None, x1, x2, x3, status tag,
+# hard): what pool workers send back, what a checkpoint line holds, and what
+# every writer formats directly, without building a SweepRecord or a dict.
+
+def _row(rec: SweepRecord) -> tuple:
+    # _value_ is the member's plain attribute; .value costs a descriptor call
+    method = rec.method._value_ if rec.method is not None else None
+    return (rec.n, method, rec.x1, rec.x2, rec.x3, rec.status._value_, rec.hard)
+
+
+def _record_of(row: tuple) -> SweepRecord:
+    n, method, x1, x2, x3, status, hard = row
+    method = Method(method) if method is not None else None
+    return SweepRecord(n, method, x1, x2, x3, Status(status), hard)
+
 
 def record_to_obj(rec: SweepRecord) -> dict:
-    return {
-        "n": rec.n,
-        "method": rec.method.value if rec.method is not None else None,
-        "x1": rec.x1,
-        "x2": rec.x2,
-        "x3": rec.x3,
-        "status": rec.status.value,
-        "hard": rec.hard,
-    }
+    return dict(zip(CSV_COLUMNS, _row(rec)))
 
 
-def _record(n, method, x1, x2, x3, status, hard) -> SweepRecord:
-    """The record with these fields if they have the types the writers emit:
-    int n, bool hard, known tags, and three int parts iff status is Solved."""
-    method = Method(method) if method is not None else None
-    status = Status(status)
-    want = int if status is Status.SOLVED else type(None)
-    if not (type(n) is int and type(hard) is bool and type(x1) is type(x2) is type(x3) is want):
+def _checked_row(n, method, x1, x2, x3, status, hard) -> tuple:
+    """The row with these fields if solve can emit it, else ValueError.
+
+    Every record has an int n >= 2 and a bool hard.  A Solved record has
+    int parts 0 < x1 < x2 < x3 with 4/n = 1/x1 + 1/x2 + 1/x3, checked
+    exactly as 4*x1*x2*x3 == n*(x1*x2 + x1*x3 + x2*x3), and a solving
+    method; a NoDistinctSolution record has that method and no parts; an
+    Error record has neither a method nor parts.
+    """
+    as_method = Method(method) if method is not None else None
+    as_status = Status(status)
+    ok = type(n) is int and n >= 2 and type(hard) is bool
+    if as_status is Status.SOLVED:
+        ok = (ok and as_method not in (None, Method.NO_DISTINCT_SOLUTION)
+              and type(x1) is type(x2) is type(x3) is int and 0 < x1 < x2 < x3
+              and 4 * x1 * x2 * x3 == n * (x1 * x2 + x1 * x3 + x2 * x3))
+    else:
+        want = Method.NO_DISTINCT_SOLUTION if as_status is Status.NO_DISTINCT_SOLUTION else None
+        ok = ok and as_method is want and x1 is x2 is x3 is None
+    if not ok:
         raise ValueError(
-            f"n={n!r}, parts ({x1!r}, {x2!r}, {x3!r}), hard={hard!r}: not a {status.value} record"
+            f"n={n!r}, method {method!r}, parts ({x1!r}, {x2!r}, {x3!r}), hard={hard!r}:"
+            f" not a {as_status.value} record"
         )
-    return SweepRecord(n, method, x1, x2, x3, status, hard)
+    return (n, method, x1, x2, x3, status, hard)
+
+
+def _row_from_obj(obj: dict) -> tuple:
+    return _checked_row(*(obj[key] for key in CSV_COLUMNS))
 
 
 def record_from_obj(obj: dict) -> SweepRecord:
-    return _record(
-        obj["n"], obj["method"], obj["x1"], obj["x2"], obj["x3"], obj["status"], obj["hard"]
-    )
-
-
-def _record_to_csv_row(rec: SweepRecord) -> list[str]:
-    return [
-        str(rec.n),
-        rec.method.value if rec.method is not None else "",
-        str(rec.x1) if rec.x1 is not None else "",
-        str(rec.x2) if rec.x2 is not None else "",
-        str(rec.x3) if rec.x3 is not None else "",
-        rec.status.value,
-        "true" if rec.hard else "false",
-    ]
+    return _record_of(_row_from_obj(obj))
 
 
 def _record_from_csv_row(row: list[str]) -> SweepRecord:
@@ -180,7 +195,55 @@ def _record_from_csv_row(row: list[str]) -> SweepRecord:
     n, method, x1, x2, x3, status, hard = row
     x1, x2, x3 = (int(x) if x else None for x in (x1, x2, x3))
     hard = {"true": True, "false": False}[hard]
-    return _record(int(n), method or None, x1, x2, x3, status, hard)
+    return _record_of(_checked_row(int(n), method or None, x1, x2, x3, status, hard))
+
+
+def _csv_line(row: tuple) -> str:
+    """The row as csv.writer writes it: no cell needs quoting."""
+    n, method, x1, x2, x3, status, hard = row
+    if x1 is None:
+        x1 = x2 = x3 = ""
+    return f"{n},{method or ''},{x1},{x2},{x3},{status},{'true' if hard else 'false'}\n"
+
+
+def _json_values(row: tuple) -> tuple:
+    """The row's fields as JSON literals (no tag needs escaping)."""
+    n, method, x1, x2, x3, status, hard = row
+    if x1 is None:
+        x1 = x2 = x3 = "null"
+    method = f'"{method}"' if method is not None else "null"
+    return n, method, x1, x2, x3, f'"{status}"', "true" if hard else "false"
+
+
+def _checkpoint_line(row: tuple) -> str:
+    """json.dumps(record_to_obj(rec), separators=(",", ":")) + "\\n"."""
+    n, method, x1, x2, x3, status, hard = _json_values(row)
+    return (f'{{"n":{n},"method":{method},"x1":{x1},"x2":{x2},"x3":{x3},'
+            f'"status":{status},"hard":{hard}}}\n')
+
+
+def _json_item(row: tuple) -> str:
+    """One element of json.dump([record_to_obj(rec), ...], fh, indent=1)."""
+    n, method, x1, x2, x3, status, hard = _json_values(row)
+    return (f' {{\n  "n": {n},\n  "method": {method},\n  "x1": {x1},\n  "x2": {x2},\n'
+            f'  "x3": {x3},\n  "status": {status},\n  "hard": {hard}\n }}')
+
+
+def write_rows(rows: Iterable[tuple], format: str, fh: TextIO) -> None:
+    """Write rows to fh as the report write_report describes, one row at a time."""
+    if format == "csv":
+        fh.writelines(map(_csv_line, rows))
+    elif format == "json":
+        items = map(_json_item, rows)
+        first = next(items, None)
+        if first is None:
+            fh.write("[]\n")
+            return
+        fh.write("[\n" + first)
+        fh.writelines(",\n" + item for item in items)
+        fh.write("\n]\n")
+    else:
+        raise ValueError(f"unknown report format: {format!r}")
 
 
 def write_report(records: Iterable[SweepRecord], format: str, fh: TextIO) -> None:
@@ -190,37 +253,49 @@ def write_report(records: Iterable[SweepRecord], format: str, fh: TextIO) -> Non
     Absent triple fields serialize as empty (CSV) or null (JSON).  CSV has
     no header row, so the row count equals the number of records.
     """
-    if format == "csv":
-        writer = csv.writer(fh, lineterminator="\n")
-        for rec in records:
-            writer.writerow(_record_to_csv_row(rec))
-    elif format == "json":
-        json.dump([record_to_obj(r) for r in records], fh, indent=1)
-        fh.write("\n")
-    else:
-        raise ValueError(f"unknown report format: {format!r}")
+    write_rows(map(_row, records), format, fh)
+
+
+def emit_rows(rows: Iterable[tuple], format: str, destination: str | Path) -> None:
+    """Stream rows (see write_rows) to a sibling <destination>.tmp, then
+    rename it over destination.
+
+    If anything fails before the rename, including the iterator producing
+    the rows, the temporary file is removed and destination keeps its
+    previous contents.
+    """
+    path = Path(destination)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        fh = open(tmp, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"cannot write report to {path}: {exc}") from exc
+    try:
+        with fh:
+            write_rows(rows, format, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def emit_report(records: list[SweepRecord], format: str, destination: str | Path) -> None:
-    """Write the report (see write_report) to the file at destination, replacing it.
+    """Write the report (see write_report) to the file at destination,
+    replacing it atomically (see emit_rows).
 
     Records must be sorted by n; otherwise ValueError is raised before the
     file is touched.
     """
     if any(a.n >= b.n for a, b in zip(records, records[1:])):
         raise ValueError("records must be sorted by n")
-    path = Path(destination)
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            write_report(records, format, fh)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
+    emit_rows(map(_row, records), format, destination)
 
 
 def load_report(source: str | Path, format: str | None = None) -> list[SweepRecord]:
     """Read a report back; format inferred from the content when not given.
 
-    A row or element that is not a record raises ValueError naming it.
+    A row or element that is not a record solve can emit (see
+    _checked_row) raises ValueError naming it.
     """
     path = Path(source)
     try:
@@ -247,10 +322,10 @@ def load_report(source: str | Path, format: str | None = None) -> list[SweepReco
 # sweeping
 
 class _CheckpointWriter:
-    """Append-only JSON-lines writer, fsynced every _FSYNC_EVERY records.
+    """Append-only JSON-lines writer, fsynced every _FSYNC_EVERY lines.
 
-    The file is first cut back to its first keep_bytes bytes, so records
-    are never appended onto a torn line.
+    The file is first cut back to its first keep_bytes bytes, so lines
+    are never appended onto a torn one.
     """
 
     def __init__(self, path: str | Path, keep_bytes: int) -> None:
@@ -261,8 +336,8 @@ class _CheckpointWriter:
             raise OSError(f"cannot open checkpoint {path}: {exc}") from exc
         self._pending = 0
 
-    def append(self, rec: SweepRecord) -> None:
-        self._fh.write(json.dumps(record_to_obj(rec), separators=(",", ":")) + "\n")
+    def append(self, line: str) -> None:
+        self._fh.write(line)
         self._pending += 1
         if self._pending >= _FSYNC_EVERY:
             self._sync()
@@ -277,21 +352,18 @@ class _CheckpointWriter:
         self._fh.close()
 
 
-def _load_checkpoint(
-    path: str | Path, start: int, end: int
-) -> tuple[dict[int, SweepRecord], int]:
-    """Records in [start, end] from the checkpoint's intact prefix, and that
-    prefix's length in bytes.
+def _load_checkpoint(path: str | Path, start: int, end: int) -> tuple[dict[int, tuple], int]:
+    """Rows for n in [start, end] from the checkpoint's intact prefix, and
+    that prefix's length in bytes.
 
     The prefix ends before the first line that is not newline-terminated
-    or is not a record as record_to_obj writes it (see _record): a crash
-    mid-write leaves such a torn tail, and everything from it on is
-    recomputed.
+    or is not a record solve can emit (see _checked_row): a crash mid-write
+    leaves such a torn tail, and everything from it on is recomputed.
     """
     p = Path(path)
     if not p.exists():
         return {}, 0
-    done: dict[int, SweepRecord] = {}
+    done: dict[int, tuple] = {}
     intact = 0
     with open(p, "rb") as fh:
         for line in fh:
@@ -299,57 +371,77 @@ def _load_checkpoint(
                 break
             if line.strip():
                 try:
-                    rec = record_from_obj(json.loads(line))
+                    row = _row_from_obj(json.loads(line))
                 except (ValueError, KeyError, TypeError):
                     break
-                if start <= rec.n <= end:
-                    done[rec.n] = rec
+                if start <= row[0] <= end:
+                    done[row[0]] = row
             intact += len(line)
     return done, intact
 
 
-def _solve_block(ns: list[int]) -> list[SweepRecord]:
-    return [solve(n) for n in ns]
+def _solve_block(ns: list[int]) -> list[tuple]:
+    return [_row(solve(n)) for n in ns]
 
 
-def _solve_stream(pending: list[int], workers: int) -> Iterator[SweepRecord]:
-    if not pending:
-        return
+def _solve_stream(pending: Iterator[int], workers: int) -> Iterator[tuple]:
     if workers == 1:
         for n in pending:
-            yield solve(n)
+            yield _row(solve(n))
         return
     # Fixed-size blocks picked up by whichever worker is free; results are
     # consumed in submission order, so output never depends on scheduling.
-    blocks = [pending[i : i + _BLOCK_SIZE] for i in range(0, len(pending), _BLOCK_SIZE)]
+    # At most _IN_FLIGHT blocks per worker are submitted ahead of the one
+    # being consumed, so memory does not grow with the range.
+    blocks = iter(lambda: list(islice(pending, _BLOCK_SIZE)), [])
+    inflight: deque = deque()
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for records in pool.map(_solve_block, blocks):
-            yield from records
+        try:
+            for block in blocks:
+                inflight.append(pool.submit(_solve_block, block))
+                if len(inflight) > _IN_FLIGHT * workers:
+                    yield from inflight.popleft().result()
+            while inflight:
+                yield from inflight.popleft().result()
+        finally:
+            for future in inflight:
+                future.cancel()
 
 
-def sweep_range(config: SweepConfig) -> list[SweepRecord]:
-    """One record per n in [start, end], ordered by n.
+def sweep_rows(config: SweepConfig) -> Iterator[tuple]:
+    """One row per n in [start, end], in n order, produced as it is needed.
 
-    Deterministic for any worker count.  With a checkpoint path, records
-    already on disk are loaded instead of recomputed and new ones are
-    appended as they complete; an unwritable checkpoint fails before any
-    computation starts.
+    Deterministic for any worker count.  With a checkpoint path, rows
+    already on disk are loaded instead of recomputed, and each new row is
+    appended to the checkpoint before it is yielded; an unwritable
+    checkpoint fails before any computation starts.  Memory grows with the
+    number of rows loaded from the checkpoint, not with the range.
     """
-    done: dict[int, SweepRecord] = {}
+    done: dict[int, tuple] = {}
     writer = None
     if config.checkpoint_path is not None:
         done, intact = _load_checkpoint(config.checkpoint_path, config.start, config.end)
         writer = _CheckpointWriter(config.checkpoint_path, intact)
+    span = range(config.start, config.end + 1)
+    solved = _solve_stream((n for n in span if n not in done), config.workers)
     try:
-        pending = [n for n in range(config.start, config.end + 1) if n not in done]
-        for rec in _solve_stream(pending, config.workers):
-            done[rec.n] = rec
-            if writer is not None:
-                writer.append(rec)
+        for n in span:
+            row = done.get(n)
+            if row is None:
+                row = next(solved)
+                if writer is not None:
+                    writer.append(_checkpoint_line(row))
+            yield row
     finally:
+        solved.close()
         if writer is not None:
             writer.close()
-    return [done[n] for n in range(config.start, config.end + 1)]
+
+
+def sweep_range(config: SweepConfig) -> list[SweepRecord]:
+    """One record per n in [start, end], ordered by n: the rows of
+    sweep_rows(config) as SweepRecords, whose detail is None."""
+    return [_record_of(row) for row in sweep_rows(config)]
 
 
 def method_histogram(records: Iterable[SweepRecord]) -> dict[str, int]:

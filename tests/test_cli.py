@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import fourovern
+import fourovern.sweep as sweep_mod
 from fourovern.cli import cli_main
+from fourovern.sweep import SweepConfig, emit_report, sweep_range
 
 
 class TestDecompose:
@@ -131,6 +133,56 @@ class TestSweep:
         assert "io error" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def reference_3000(tmp_path_factory):
+    """emit_report(sweep_range(...)) bytes of [3, 3000] per format, and the
+    bytes of a fresh checkpoint of that range."""
+    d = tmp_path_factory.mktemp("reference")
+    ck = d / "ck.jsonl"
+    records = sweep_range(SweepConfig(3, 3000, checkpoint_path=ck))
+    out = {"checkpoint": ck.read_bytes()}
+    for fmt in ("csv", "json"):
+        emit_report(records, fmt, d / f"r.{fmt}")
+        out[fmt] = (d / f"r.{fmt}").read_bytes()
+    return out
+
+
+class TestStreamedSweep:
+    """The CLI streams rows into the report; its bytes are the library's."""
+
+    @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resumed"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_report_bytes(self, tmp_path, capsys, reference_3000, fmt, workers, resume):
+        ck, report = tmp_path / "ck.jsonl", tmp_path / f"out.{fmt}"
+        if resume:  # a checkpoint cut mid-line, as a kill leaves it
+            ck.write_bytes(reference_3000["checkpoint"][:70_001])
+        argv = ["sweep", "3", "3000", "--format", fmt, "--workers", workers,
+                "--checkpoint", str(ck), "--report", str(report)]
+        assert cli_main(argv) == 0
+        assert report.read_bytes() == reference_3000[fmt]
+        assert ck.read_bytes() == reference_3000["checkpoint"]
+        assert "2998 records" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([ck.name, report.name])
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failed_sweep_keeps_previous_report(self, tmp_path, monkeypatch, workers):
+        real_solve = sweep_mod.solve
+
+        def failing(n, *args):
+            if n == 1500:
+                raise RuntimeError("solve failed at n = 1500")
+            return real_solve(n, *args)
+
+        monkeypatch.setattr(sweep_mod, "solve", failing)
+        report = tmp_path / "out.csv"
+        report.write_text("previous contents\n")
+        with pytest.raises(RuntimeError, match="n = 1500"):
+            cli_main(["sweep", "3", "3000", "--workers", workers, "--report", str(report)])
+        assert report.read_text() == "previous contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
 class TestStats:
     def test_histogram(self, tmp_path, capsys):
         report = tmp_path / "out.csv"
@@ -160,10 +212,15 @@ class TestStats:
             '[{"n": 7, "method": "Mod4Is3", "x1": 3, "x2": 6, "x3": null, "status": "Solved",'
             ' "hard": false}]',
             "7,Mod4Is3,3,6,,Solved,false\n",                        # Solved without x3
+            '[{"n": -7, "method": null, "x1": 3, "x2": 6, "x3": 14, "status": "Solved",'
+            ' "hard": false}]',
+            "7,Mod4Is3,3,6,15,Solved,false\n",                      # 4/7 != 1/3 + 1/6 + 1/15
+            "7,,,,,NoDistinctSolution,false\n",                      # no method tag
         ],
         ids=[
             "csv-hard-maybe", "json-no-method", "json-not-object", "json-hard-string",
             "json-x1-string", "json-x2-float", "json-solved-x3-null", "csv-solved-no-x3",
+            "json-negative-n-null-method", "csv-wrong-sum", "csv-nds-no-method",
         ],
     )
     def test_malformed_report_exits_two(self, tmp_path, capsys, text):

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -5,6 +6,10 @@ import warnings
 from fractions import Fraction as PyFraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import fourovern.sweep as sweep_mod
 
 from fourovern.sweep import (
     SweepConfig,
@@ -21,6 +26,13 @@ from fourovern.sweep import (
     write_report,
 )
 from fourovern.triples import Method
+
+# the first n that solve() attributes to each Method; n = 2 is NoDistinctSolution
+FIRST_N_OF_METHOD = {
+    Method.NO_DISTINCT_SOLUTION: 2, Method.ORACLE: 3, Method.EVEN: 4, Method.MOD3_IS_2: 5,
+    Method.MOD4_IS_3: 7, Method.MOD3_IS_0: 9, Method.PRIME_13_MOD_24: 13,
+    Method.PRIME_LIFT: 25, Method.THEOREM_3_SEARCH: 73, Method.THEOREM_4: 97,
+}
 
 # sha256 of the CSV report of solve(n) over the hard class up to 1e6
 HARD_CLASS_CSV_SHA256 = "479d964ef866ccdf52233990d78558ed63844debbd6b8ff827cb12949ee3bff3"
@@ -157,6 +169,110 @@ class TestSerialization:
     def test_unwritable_report_path(self, tmp_path):
         with pytest.raises(OSError):
             emit_report([solve(7)], "csv", tmp_path / "missing" / "r.csv")
+
+
+def reference_obj(rec):
+    method = rec.method.value if rec.method is not None else None
+    return {"n": rec.n, "method": method, "x1": rec.x1, "x2": rec.x2, "x3": rec.x3,
+            "status": rec.status.value, "hard": rec.hard}
+
+
+def reference_checkpoint_line(obj):
+    return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+def reference_csv_line(obj):
+    buf = io.StringIO()
+    cells = ["" if v is None else str(v) for v in list(obj.values())[:-1]]
+    csv.writer(buf, lineterminator="\n").writerow(cells + ["true" if obj["hard"] else "false"])
+    return buf.getvalue()
+
+
+class TestFormatters:
+    """The direct formatters against the stdlib json and csv writers."""
+
+    @pytest.mark.parametrize(
+        "n", sorted(FIRST_N_OF_METHOD.values()) + [2**66], ids=lambda n: f"n={n}"
+    )
+    def test_record_of_every_method(self, n):
+        rec = solve(n)
+        if n == 2**66:
+            assert rec.status is Status.ERROR
+        else:
+            assert FIRST_N_OF_METHOD[rec.method] == n
+        row, obj = sweep_mod._row(rec), reference_obj(rec)
+        assert record_to_obj(rec) == obj
+        assert sweep_mod._checkpoint_line(row) == reference_checkpoint_line(obj)
+        assert sweep_mod._csv_line(row) == reference_csv_line(obj)
+
+    def test_json_report_matches_json_dump(self):
+        records = [solve(n) for n in sorted(FIRST_N_OF_METHOD.values()) + [2**66]]
+        for recs in (records, records[:1], []):
+            buf = io.StringIO()
+            write_report(recs, "json", buf)
+            assert buf.getvalue() == json.dumps([reference_obj(r) for r in recs], indent=1) + "\n"
+
+    @given(
+        n=st.integers(2, 2**127),
+        method=st.sampled_from([None] + [m.value for m in Method]),
+        parts=st.one_of(st.none(), st.tuples(*[st.integers(1, 2**127)] * 3)),
+        status=st.sampled_from([s.value for s in Status]),
+        hard=st.booleans(),
+    )
+    def test_random_rows(self, n, method, parts, status, hard):
+        row = (n, method, *(parts or (None, None, None)), status, hard)
+        obj = dict(zip(sweep_mod.CSV_COLUMNS, row))
+        assert sweep_mod._checkpoint_line(row) == reference_checkpoint_line(obj)
+        assert sweep_mod._csv_line(row) == reference_csv_line(obj)
+        assert sweep_mod._json_item(row) == json.dumps([obj], indent=1)[2:-2]
+
+
+class TestRecordChecks:
+    """A record read back must be one that solve() can emit."""
+
+    SEVEN = {"n": 7, "method": "Mod4Is3", "x1": 3, "x2": 6, "x3": 14, "status": "Solved",
+             "hard": False}
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"x3": 15},                                        # 4/7 != 1/3 + 1/6 + 1/15
+            {"n": -7, "method": None},
+            {"n": -7},
+            {"method": None},
+            {"method": "NoDistinctSolution"},
+            {"x1": 6, "x2": 3},                                 # parts not increasing
+            {"x1": 0},
+            {"n": 1},
+            {"status": "Error"},                                 # Error with a method and parts
+            {"status": "Error", "x1": None, "x2": None, "x3": None},   # Error with a method
+            {"status": "NoDistinctSolution", "x1": None, "x2": None, "x3": None},
+        ],
+        ids=["x3-15", "n-negative-method-null", "n-negative", "method-null", "method-nds",
+             "parts-unordered", "part-zero", "n-one", "error-with-parts",
+             "error-with-method", "nds-wrong-method"],
+    )
+    def test_rejected(self, change):
+        with pytest.raises(ValueError, match="not a"):
+            record_from_obj({**self.SEVEN, **change})
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 73, 97, 2**66], ids=lambda n: f"n={n}")
+    def test_solve_output_accepted(self, n):
+        rec = solve(n)
+        assert record_from_obj(record_to_obj(rec)) == rec
+
+    def test_tampered_checkpoint_resumes_like_fresh(self, tmp_path):
+        fresh_ck, ck = tmp_path / "fresh.jsonl", tmp_path / "ck.jsonl"
+        fresh = sweep_range(SweepConfig(3, 20, checkpoint_path=fresh_ck))
+        ck.write_bytes(fresh_ck.read_bytes().replace(b'"x3":14,', b'"x3":15,', 1))
+        assert ck.read_bytes() != fresh_ck.read_bytes()
+        resumed = sweep_range(SweepConfig(3, 20, checkpoint_path=ck))
+        assert ck.read_bytes() == fresh_ck.read_bytes()
+        a, b = tmp_path / "fresh.csv", tmp_path / "resumed.csv"
+        emit_report(fresh, "csv", a)
+        emit_report(resumed, "csv", b)
+        assert a.read_bytes() == b.read_bytes()
+        assert b"7,Mod4Is3,3,6,14,Solved,false\n" in b.read_bytes()
 
 
 class TestSweepRange:
