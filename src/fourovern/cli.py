@@ -33,6 +33,8 @@ from .two_term import solve_two_term
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    if args.k_bound < 1:
+        raise ValueError(f"--k-bound must be >= 1, got {args.k_bound}")
     rec = solve(args.n, args.k_bound)
     if args.json:
         print(json.dumps(record_to_obj(rec)))
@@ -186,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("start", type=int)
     p.add_argument("end", type=int)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--checkpoint", default=None, help="JSON-lines checkpoint path (resumable)")
+    p.add_argument("--checkpoint", default=None, help="CSV checkpoint path (resumable)")
     p.add_argument("--report", default=None, help="report destination (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_sweep)

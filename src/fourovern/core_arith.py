@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, prod
-from typing import Iterator, Sequence
+from typing import Sequence
 
 INT128_MAX = (1 << 127) - 1
 INT128_MIN = -(1 << 127)
@@ -105,16 +105,6 @@ def primes_up_to(limit: int) -> list[int]:
     if limit > _sieve_limit:
         _extend_sieve(limit)
     return _primes[: bisect_right(_primes, limit)]
-
-
-def iter_primes() -> Iterator[int]:
-    """2, 3, 5, ... without end, extending the cached sieve as needed."""
-    i = 0
-    while True:
-        if i >= len(_primes):
-            _extend_sieve(2 * _sieve_limit if _sieve_limit else 1 << 16)
-        yield _primes[i]
-        i += 1
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd as _math_gcd
 
-from .core_arith import checked_mul, iter_primes
+from .core_arith import checked_mul
 from .triples import Method, UnitTriple, make_triple
 
 
@@ -59,30 +59,30 @@ class _Budget:
             raise OracleBudgetError("oracle work budget exhausted")
 
 
-def _factor_counted(v: int, budget: _Budget) -> list[tuple[int, int]]:
-    # Local trial division (not the cached core factorizer) so the budget
-    # sees every division attempt on adversarially large residuals.
-    pairs = []
-    m = v
-    for p in iter_primes():
-        if p * p > m:
-            break
+def _factor_counted(m: int, budget: _Budget, exponents: dict[int, int]) -> dict[int, int]:
+    # Trial division by 2, then odd d, adding m's exponent of each prime to
+    # exponents.  Local (not the cached core factorizer or its sieve) so the
+    # budget sees every division attempt and nothing grows with m.
+    d = 2
+    while d * d <= m:
         budget.spend(1)
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            pairs.append((p, e))
+        while m % d == 0:
+            m //= d
+            exponents[d] = exponents.get(d, 0) + 1
+        d += 1 if d == 2 else 2
     if m > 1:
-        pairs.append((m, 1))
-    return pairs
+        exponents[m] = exponents.get(m, 0) + 1
+    return exponents
 
 
-def _divisors_of_square(q: int, budget: _Budget) -> list[int]:
-    """Sorted divisors of q*q, built from the factorization of q."""
+def _divisors_of_square(exponents: dict[int, int], g: int, budget: _Budget) -> list[int]:
+    """Sorted divisors of q*q, where q is the product of p**e over exponents,
+    divided by g."""
     divs = [1]
-    for p, e in _factor_counted(q, budget):
+    for p, e in exponents.items():
+        while g % p == 0:
+            g //= p
+            e -= 1
         grown = []
         pk = 1
         for _ in range(2 * e + 1):
@@ -95,15 +95,16 @@ def _divisors_of_square(q: int, budget: _Budget) -> list[int]:
     return divs
 
 
-def _completions(p: int, q: int, xmin: int, strict: bool, budget: _Budget):
+def _completions(p: int, q: int, divisors: list[int], xmin: int, strict: bool):
     """Yield (y, z), y ascending, with 1/y + 1/z == p/q and y >= xmin.
 
-    gcd(p, q) == 1 is assumed.  d runs over divisors of q*q with
-    d = -q (mod p) and d <= q, giving y = (d + q)/p and z = (q*q/d + q)/p;
-    the cofactor side is automatically congruent, so z is always integral.
+    gcd(p, q) == 1 is assumed, and divisors are the sorted divisors of q*q.
+    d runs over those with d = -q (mod p) and d <= q, giving y = (d + q)/p
+    and z = (q*q/d + q)/p; the cofactor side is automatically congruent, so
+    z is always integral.
     """
     qq = checked_mul(q, q)
-    for d in _divisors_of_square(q, budget):
+    for d in divisors:
         if d > q or (strict and d == q):
             break
         if (d + q) % p:
@@ -125,12 +126,16 @@ def enumerate_three_term(query: OracleQuery, *, budget: int | None = None) -> li
     """
     a, n = query.a, query.n
     tracker = _Budget(budget)
+    n_exponents = _factor_counted(n, tracker, {})
     out: list[UnitTriple] = []
     for x in range(n // a + 1, 3 * n // a + 1):
         rnum = a * x - n  # > 0 inside the window
         rden = checked_mul(n, x)
         g = _math_gcd(rnum, rden)
-        for y, z in _completions(rnum // g, rden // g, x, query.distinct_only, tracker):
+        # q = n*x/g is factored from n's exponents and x's, never directly
+        exponents = _factor_counted(x, tracker, dict(n_exponents))
+        divisors = _divisors_of_square(exponents, g, tracker)
+        for y, z in _completions(rnum // g, rden // g, divisors, x, query.distinct_only):
             out.append(
                 make_triple(
                     (x, y, z), a, n, Method.ORACLE,

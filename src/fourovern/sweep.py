@@ -8,13 +8,12 @@ not as an error.
 
 sweep_rows streams one row per n, ordered by n and byte-identical
 regardless of worker count; sweep_range collects it into records.  A
-checkpoint is a JSON-lines file, appended in n order and fsynced every
-1000 records, so a killed sweep resumes from its completed prefix.
+checkpoint holds the CSV report rows, appended in n order and fsynced
+every 1000 records, so a killed sweep resumes from its completed prefix.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from collections import deque
@@ -189,13 +188,15 @@ def record_from_obj(obj: dict) -> SweepRecord:
     return _record_of(_row_from_obj(obj))
 
 
-def _record_from_csv_row(row: list[str]) -> SweepRecord:
-    if len(row) != len(CSV_COLUMNS):
-        raise ValueError(f"expected {len(CSV_COLUMNS)} columns, got {row!r}")
-    n, method, x1, x2, x3, status, hard = row
+def _row_from_line(line: str) -> tuple:
+    """The row whose _csv_line is exactly line, if solve can emit it (see
+    _checked_row); else ValueError, so " 7", "+3" or "07" is rejected too."""
+    n, method, x1, x2, x3, status, hard = line[:-1].split(",")
     x1, x2, x3 = (int(x) if x else None for x in (x1, x2, x3))
-    hard = {"true": True, "false": False}[hard]
-    return _record_of(_checked_row(int(n), method or None, x1, x2, x3, status, hard))
+    row = _checked_row(int(n), method or None, x1, x2, x3, status, hard == "true")
+    if _csv_line(row) != line:
+        raise ValueError(f"{line!r} is not written as {_csv_line(row)!r}")
+    return row
 
 
 def _csv_line(row: tuple) -> str:
@@ -206,27 +207,16 @@ def _csv_line(row: tuple) -> str:
     return f"{n},{method or ''},{x1},{x2},{x3},{status},{'true' if hard else 'false'}\n"
 
 
-def _json_values(row: tuple) -> tuple:
-    """The row's fields as JSON literals (no tag needs escaping)."""
+def _json_item(row: tuple) -> str:
+    """One element of json.dump([record_to_obj(rec), ...], fh, indent=1)
+    (no tag needs escaping)."""
     n, method, x1, x2, x3, status, hard = row
     if x1 is None:
         x1 = x2 = x3 = "null"
     method = f'"{method}"' if method is not None else "null"
-    return n, method, x1, x2, x3, f'"{status}"', "true" if hard else "false"
-
-
-def _checkpoint_line(row: tuple) -> str:
-    """json.dumps(record_to_obj(rec), separators=(",", ":")) + "\\n"."""
-    n, method, x1, x2, x3, status, hard = _json_values(row)
-    return (f'{{"n":{n},"method":{method},"x1":{x1},"x2":{x2},"x3":{x3},'
-            f'"status":{status},"hard":{hard}}}\n')
-
-
-def _json_item(row: tuple) -> str:
-    """One element of json.dump([record_to_obj(rec), ...], fh, indent=1)."""
-    n, method, x1, x2, x3, status, hard = _json_values(row)
+    hard = "true" if hard else "false"
     return (f' {{\n  "n": {n},\n  "method": {method},\n  "x1": {x1},\n  "x2": {x2},\n'
-            f'  "x3": {x3},\n  "status": {status},\n  "hard": {hard}\n }}')
+            f'  "x3": {x3},\n  "status": "{status}",\n  "hard": {hard}\n }}')
 
 
 def write_rows(rows: Iterable[tuple], format: str, fh: TextIO) -> None:
@@ -292,27 +282,27 @@ def emit_report(records: list[SweepRecord], format: str, destination: str | Path
 
 
 def load_report(source: str | Path, format: str | None = None) -> list[SweepRecord]:
-    """Read a report back; format inferred from the content when not given.
+    """Read a report or a checkpoint back; format inferred from the content
+    when not given.
 
-    A row or element that is not a record solve can emit (see
-    _checked_row) raises ValueError naming it.
+    A row or element that is not a record solve can emit, as write_rows
+    writes it (see _row_from_line), raises ValueError naming it.
     """
     path = Path(source)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_bytes().decode("utf-8")  # newlines untranslated
     except OSError as exc:
         raise OSError(f"cannot read report from {path}: {exc}") from exc
     if format is None:
         format = "json" if text.lstrip().startswith("[") else "csv"
     if format == "json":
-        items, parse, kind = json.loads(text), record_from_obj, "element"
+        items, parse, kind = json.loads(text), _row_from_obj, "element"
     else:
-        items = [row for row in csv.reader(text.splitlines()) if row]
-        parse, kind = _record_from_csv_row, "row"
+        items, parse, kind = text.splitlines(keepends=True), _row_from_line, "row"
     records = []
     for i, item in enumerate(items, 1):
         try:
-            records.append(parse(item))
+            records.append(_record_of(parse(item)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: {kind} {i} is not a record: {exc!r}") from exc
     return records
@@ -322,7 +312,7 @@ def load_report(source: str | Path, format: str | None = None) -> list[SweepReco
 # sweeping
 
 class _CheckpointWriter:
-    """Append-only JSON-lines writer, fsynced every _FSYNC_EVERY lines.
+    """Append-only writer of report rows, fsynced every _FSYNC_EVERY lines.
 
     The file is first cut back to its first keep_bytes bytes, so lines
     are never appended onto a torn one.
@@ -356,9 +346,9 @@ def _load_checkpoint(path: str | Path, start: int, end: int) -> tuple[dict[int, 
     """Rows for n in [start, end] from the checkpoint's intact prefix, and
     that prefix's length in bytes.
 
-    The prefix ends before the first line that is not newline-terminated
-    or is not a record solve can emit (see _checked_row): a crash mid-write
-    leaves such a torn tail, and everything from it on is recomputed.
+    The prefix ends before the first line that is not a record's report
+    row (see _row_from_line): a crash mid-write leaves such a torn tail,
+    and everything from it on is recomputed.
     """
     p = Path(path)
     if not p.exists():
@@ -367,15 +357,12 @@ def _load_checkpoint(path: str | Path, start: int, end: int) -> tuple[dict[int, 
     intact = 0
     with open(p, "rb") as fh:
         for line in fh:
-            if not line.endswith(b"\n"):
+            try:
+                row = _row_from_line(line.decode())
+            except ValueError:
                 break
-            if line.strip():
-                try:
-                    row = _row_from_obj(json.loads(line))
-                except (ValueError, KeyError, TypeError):
-                    break
-                if start <= row[0] <= end:
-                    done[row[0]] = row
+            if start <= row[0] <= end:
+                done[row[0]] = row
             intact += len(line)
     return done, intact
 
@@ -430,7 +417,7 @@ def sweep_rows(config: SweepConfig) -> Iterator[tuple]:
             if row is None:
                 row = next(solved)
                 if writer is not None:
-                    writer.append(_checkpoint_line(row))
+                    writer.append(_csv_line(row))
             yield row
     finally:
         solved.close()

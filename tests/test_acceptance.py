@@ -156,7 +156,7 @@ def test_criterion_6_full_sweep(tmp_path):
     assert hashlib.sha256(solo_report.read_bytes()).hexdigest() == REFERENCE_CSV_SHA256
 
     # a resumed interrupted run matches an uninterrupted one
-    ck = tmp_path / "sweep.jsonl"
+    ck = tmp_path / "sweep.csv"
     full = sweep_range(SweepConfig(3, 100_000, checkpoint_path=ck))
     assert full == records
     lines = ck.read_text().splitlines()

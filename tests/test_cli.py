@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 import fourovern
 import fourovern.sweep as sweep_mod
 from fourovern.cli import cli_main
-from fourovern.sweep import SweepConfig, emit_report, sweep_range
+from fourovern.sweep import SweepConfig, emit_report, record_to_obj, sweep_range
 
 
 class TestDecompose:
@@ -120,7 +121,7 @@ class TestSweep:
         assert [o["n"] for o in objs] == list(range(3, 13))
 
     def test_checkpoint_flag(self, tmp_path):
-        ck = tmp_path / "ck.jsonl"
+        ck = tmp_path / "ck.csv"
         assert cli_main(["sweep", "3", "20", "--checkpoint", str(ck)]) == 0
         assert len(ck.read_text().splitlines()) == 18
 
@@ -138,7 +139,7 @@ def reference_3000(tmp_path_factory):
     """emit_report(sweep_range(...)) bytes of [3, 3000] per format, and the
     bytes of a fresh checkpoint of that range."""
     d = tmp_path_factory.mktemp("reference")
-    ck = d / "ck.jsonl"
+    ck = d / "ck.csv"
     records = sweep_range(SweepConfig(3, 3000, checkpoint_path=ck))
     out = {"checkpoint": ck.read_bytes()}
     for fmt in ("csv", "json"):
@@ -150,18 +151,24 @@ def reference_3000(tmp_path_factory):
 class TestStreamedSweep:
     """The CLI streams rows into the report; its bytes are the library's."""
 
-    @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resumed"])
+    @pytest.mark.parametrize(
+        "resume", [False, True, "json-lines"], ids=["fresh", "resumed", "json-lines"]
+    )
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_report_bytes(self, tmp_path, capsys, reference_3000, fmt, workers, resume):
-        ck, report = tmp_path / "ck.jsonl", tmp_path / f"out.{fmt}"
-        if resume:  # a checkpoint cut mid-line, as a kill leaves it
+        ck, report = tmp_path / "ck", tmp_path / f"out.{fmt}"
+        if resume == "json-lines":  # a checkpoint in the JSON-lines form of earlier versions
+            ck.write_text("".join(json.dumps(record_to_obj(r), separators=(",", ":")) + "\n"
+                                  for r in sweep_range(SweepConfig(3, 1000))))
+        elif resume:  # a checkpoint cut mid-line, as a kill leaves it
             ck.write_bytes(reference_3000["checkpoint"][:70_001])
         argv = ["sweep", "3", "3000", "--format", fmt, "--workers", workers,
                 "--checkpoint", str(ck), "--report", str(report)]
         assert cli_main(argv) == 0
         assert report.read_bytes() == reference_3000[fmt]
-        assert ck.read_bytes() == reference_3000["checkpoint"]
+        # a checkpoint holds the CSV report's bytes, whatever the report format
+        assert ck.read_bytes() == reference_3000["checkpoint"] == reference_3000["csv"]
         assert "2998 records" in capsys.readouterr().out
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([ck.name, report.name])
 
@@ -194,6 +201,17 @@ class TestStats:
         assert "Even" in out and "method histogram" in out
         assert "hard: 2" in out  # 73 and 97
 
+    def test_checkpoint_reads_like_its_report(self, tmp_path, capsys):
+        ck, report = tmp_path / "ck", tmp_path / "out.csv"
+        argv = ["sweep", "3", "120", "--checkpoint", str(ck), "--report", str(report)]
+        assert cli_main(argv) == 0
+        capsys.readouterr()
+        outputs = []
+        for path in (ck, report):
+            assert cli_main(["stats", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and "records: 118" in outputs[0]
+
     def test_missing_report_exits_three(self, tmp_path):
         assert cli_main(["stats", str(tmp_path / "nope.csv")]) == 3
 
@@ -216,11 +234,21 @@ class TestStats:
             ' "hard": false}]',
             "7,Mod4Is3,3,6,15,Solved,false\n",                      # 4/7 != 1/3 + 1/6 + 1/15
             "7,,,,,NoDistinctSolution,false\n",                      # no method tag
+            # a record's row spelled otherwise than a report writes it
+            " 7,Mod4Is3,3,6,14,Solved,false\n",
+            "7,Mod4Is3,+3,6,14,Solved,false\n",
+            "07,Mod4Is3,3,6,14,Solved,false\n",
+            "7,Mod4Is3,3,6,1_4,Solved,false\n",
+            "7,Mod4Is3,3,6,14,Solved,false\r\n",
+            "7,Mod4Is3,3,6,14,Solved,false",
+            "\n7,Mod4Is3,3,6,14,Solved,false\n",
         ],
         ids=[
             "csv-hard-maybe", "json-no-method", "json-not-object", "json-hard-string",
             "json-x1-string", "json-x2-float", "json-solved-x3-null", "csv-solved-no-x3",
             "json-negative-n-null-method", "csv-wrong-sum", "csv-nds-no-method",
+            "csv-space-n", "csv-plus-x1", "csv-zero-padded-n", "csv-underscore-x3",
+            "csv-crlf", "csv-no-newline", "csv-blank-line",
         ],
     )
     def test_malformed_report_exits_two(self, tmp_path, capsys, text):
@@ -247,8 +275,30 @@ class TestUsage:
     def test_missing_args(self, capsys):
         assert cli_main(["decompose"]) == 2
 
+    @pytest.mark.parametrize("n", ["4", "73"])
+    def test_k_bound_below_one(self, capsys, n):
+        assert cli_main(["decompose", n, "--k-bound", "0"]) == 2
+        assert capsys.readouterr().err == "usage error: --k-bound must be >= 1, got 0\n"
+
     def test_no_args(self, capsys):
         assert cli_main([]) == 2
+
+
+def readme_cli_commands():
+    """The argv of each `fourovern ...` line of README's CLI block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("fourovern ")]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # in order, in one directory, so later lines read the files earlier ones write
+    monkeypatch.chdir(tmp_path)
+    commands = readme_cli_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        assert cli_main(argv) == (1 if argv == ["decompose", "2"] else 0), argv
 
 
 class TestModuleEntryPoints:

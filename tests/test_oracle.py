@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fourovern import core_arith
 from fourovern.oracle import (
     OracleBudgetError,
     OracleQuery,
@@ -13,6 +14,7 @@ from fourovern.oracle import (
     first_solution,
 )
 from fourovern.construct_th2 import theorem2_dispatch
+from fourovern.sweep import solve
 from fourovern.triples import Method
 
 from naive import enumerate_three_term_naive
@@ -71,6 +73,19 @@ class TestEnumerate:
     def test_generous_budget_succeeds(self):
         got = enumerate_three_term(OracleQuery(4, 73, True, limit=1), budget=10**6)
         assert tuples(got) == [(20, 210, 30660)]
+
+    def test_large_query_leaves_the_sieve_alone(self):
+        # the oracle factors n and each x by its own trial division, so a
+        # hard n near 1e7 with a witness bound too small for it neither
+        # grows core_arith's shared sieve to the square root of n*x nor
+        # takes the memory that costs
+        sieve_before = core_arith._sieve_limit
+        rec = solve(10000849, k_bound=1)
+        assert rec.method is Method.ORACLE
+        got = PyFraction(1, rec.x1) + PyFraction(1, rec.x2) + PyFraction(1, rec.x3)
+        assert got == PyFraction(4, 10000849) and rec.x1 < rec.x2 < rec.x3
+        # factorize's first call builds the sieve's 2**16 floor
+        assert core_arith._sieve_limit <= max(sieve_before, 1 << 16)
 
 
 class TestFirstAndCount:

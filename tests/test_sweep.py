@@ -177,10 +177,6 @@ def reference_obj(rec):
             "status": rec.status.value, "hard": rec.hard}
 
 
-def reference_checkpoint_line(obj):
-    return json.dumps(obj, separators=(",", ":")) + "\n"
-
-
 def reference_csv_line(obj):
     buf = io.StringIO()
     cells = ["" if v is None else str(v) for v in list(obj.values())[:-1]]
@@ -189,7 +185,8 @@ def reference_csv_line(obj):
 
 
 class TestFormatters:
-    """The direct formatters against the stdlib json and csv writers."""
+    """The direct formatters against the stdlib json and csv writers, and
+    the CSV line parser against the formatter."""
 
     @pytest.mark.parametrize(
         "n", sorted(FIRST_N_OF_METHOD.values()) + [2**66], ids=lambda n: f"n={n}"
@@ -202,8 +199,8 @@ class TestFormatters:
             assert FIRST_N_OF_METHOD[rec.method] == n
         row, obj = sweep_mod._row(rec), reference_obj(rec)
         assert record_to_obj(rec) == obj
-        assert sweep_mod._checkpoint_line(row) == reference_checkpoint_line(obj)
         assert sweep_mod._csv_line(row) == reference_csv_line(obj)
+        assert sweep_mod._row_from_line(reference_csv_line(obj)) == row
 
     def test_json_report_matches_json_dump(self):
         records = [solve(n) for n in sorted(FIRST_N_OF_METHOD.values()) + [2**66]]
@@ -222,9 +219,17 @@ class TestFormatters:
     def test_random_rows(self, n, method, parts, status, hard):
         row = (n, method, *(parts or (None, None, None)), status, hard)
         obj = dict(zip(sweep_mod.CSV_COLUMNS, row))
-        assert sweep_mod._checkpoint_line(row) == reference_checkpoint_line(obj)
-        assert sweep_mod._csv_line(row) == reference_csv_line(obj)
+        line = reference_csv_line(obj)
+        assert sweep_mod._csv_line(row) == line
         assert sweep_mod._json_item(row) == json.dumps([obj], indent=1)[2:-2]
+        # the line parser accepts exactly the rows the record check accepts
+        try:
+            checked = sweep_mod._checked_row(*row)
+        except ValueError:
+            with pytest.raises(ValueError, match="not a"):
+                sweep_mod._row_from_line(line)
+        else:
+            assert sweep_mod._row_from_line(line) == checked == row
 
 
 class TestRecordChecks:
@@ -253,18 +258,23 @@ class TestRecordChecks:
              "error-with-method", "nds-wrong-method"],
     )
     def test_rejected(self, change):
+        obj = {**self.SEVEN, **change}
         with pytest.raises(ValueError, match="not a"):
-            record_from_obj({**self.SEVEN, **change})
+            record_from_obj(obj)
+        with pytest.raises(ValueError, match="not a"):
+            sweep_mod._row_from_line(reference_csv_line(obj))
 
     @pytest.mark.parametrize("n", [2, 3, 7, 73, 97, 2**66], ids=lambda n: f"n={n}")
     def test_solve_output_accepted(self, n):
         rec = solve(n)
         assert record_from_obj(record_to_obj(rec)) == rec
+        row = sweep_mod._row(rec)
+        assert sweep_mod._row_from_line(sweep_mod._csv_line(row)) == row
 
     def test_tampered_checkpoint_resumes_like_fresh(self, tmp_path):
-        fresh_ck, ck = tmp_path / "fresh.jsonl", tmp_path / "ck.jsonl"
+        fresh_ck, ck = tmp_path / "fresh.csv", tmp_path / "ck.csv"
         fresh = sweep_range(SweepConfig(3, 20, checkpoint_path=fresh_ck))
-        ck.write_bytes(fresh_ck.read_bytes().replace(b'"x3":14,', b'"x3":15,', 1))
+        ck.write_bytes(fresh_ck.read_bytes().replace(b"7,Mod4Is3,3,6,14,", b"7,Mod4Is3,3,6,15,", 1))
         assert ck.read_bytes() != fresh_ck.read_bytes()
         resumed = sweep_range(SweepConfig(3, 20, checkpoint_path=ck))
         assert ck.read_bytes() == fresh_ck.read_bytes()
@@ -302,7 +312,7 @@ class TestSweepRange:
         assert a.read_bytes() == b.read_bytes()
 
     def test_checkpoint_resume_matches_uninterrupted(self, tmp_path):
-        ck = tmp_path / "sweep.jsonl"
+        ck = tmp_path / "sweep.csv"
         uninterrupted = sweep_range(SweepConfig(3, 300))
         full = sweep_range(SweepConfig(3, 300, checkpoint_path=ck))
         assert full == uninterrupted
@@ -316,10 +326,10 @@ class TestSweepRange:
         assert len(ck.read_text().splitlines()) == 298
 
     def test_checkpoint_tolerates_torn_tail(self, tmp_path):
-        ck = tmp_path / "sweep.jsonl"
+        ck = tmp_path / "sweep.csv"
         want = sweep_range(SweepConfig(3, 60, checkpoint_path=ck))
         with open(ck, "a") as fh:
-            fh.write('{"n": 61, "met')  # torn write
+            fh.write("61,Mod3Is0,21,")  # torn write
         again = sweep_range(SweepConfig(3, 60, checkpoint_path=ck))
         assert again == want
 
@@ -329,23 +339,22 @@ class TestSweepRange:
         # emits it is cut before appending, so repeated resumes neither keep
         # it, glue records onto it, nor drop the records written after it
         fresh = sweep_range(SweepConfig(3, 3000))
-        ck = tmp_path / "sweep.jsonl"
+        ck = tmp_path / "sweep.csv"
         sweep_range(SweepConfig(3, 1000, checkpoint_path=ck))
+        line = sweep_mod._csv_line(sweep_mod._row(solve(1001)))
         if tail == "complete":
-            tail = json.dumps(record_to_obj(solve(1001)), separators=(",", ":"))
-        elif tail == "string-hard":
-            obj = {**record_to_obj(solve(1001)), "hard": "false"}
-            tail = json.dumps(obj, separators=(",", ":")) + "\n"
+            tail = line[:-1]
+        elif tail == "string-hard":  # hard spelled otherwise than the writer spells it
+            tail = line.replace("false", "False")
         with open(ck, "a") as fh:
             fh.write(tail)
         for _ in range(2):
             assert sweep_range(SweepConfig(3, 3000, checkpoint_path=ck)) == fresh
-        objs = [json.loads(line) for line in ck.read_text().splitlines()]
-        assert [o["n"] for o in objs] == list(range(3, 3001))
-        assert [record_from_obj(o) for o in objs] == fresh
+        emit_report(fresh, "csv", tmp_path / "fresh.csv")
+        assert ck.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
     def test_checkpoint_skips_recomputation(self, tmp_path, monkeypatch):
-        ck = tmp_path / "sweep.jsonl"
+        ck = tmp_path / "sweep.csv"
         sweep_range(SweepConfig(3, 50, checkpoint_path=ck))
         import fourovern.sweep as sweep_mod
 
@@ -364,7 +373,7 @@ class TestSweepRange:
 
         monkeypatch.setattr(sweep_mod, "solve", boom)
         with pytest.raises(OSError):
-            sweep_range(SweepConfig(3, 50, checkpoint_path=tmp_path / "no" / "dir.jsonl"))
+            sweep_range(SweepConfig(3, 50, checkpoint_path=tmp_path / "no" / "dir.csv"))
 
     def test_method_histogram(self):
         records = sweep_range(SweepConfig(3, 100))
