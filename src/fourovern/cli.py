@@ -21,9 +21,8 @@ from .oracle import OracleQuery, enumerate_three_term
 from .sweep import (
     SweepConfig,
     Status,
+    _report_rows,
     emit_rows,
-    load_report,
-    method_histogram,
     record_to_obj,
     solve,
     sweep_rows,
@@ -81,6 +80,8 @@ def _cmd_two_term(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    if args.limit is not None and not args.all:
+        raise ValueError("--limit needs --all")
     distinct = not args.allow_repeats
     if args.count:
         found = enumerate_three_term(OracleQuery(args.a, args.n, distinct))
@@ -139,16 +140,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    records = load_report(args.report_path)
-    counts = Counter(r.status.value for r in records)
-    counts["hard"] = sum(r.hard for r in records)
+    counts: Counter = Counter()
+    rows = _counted(_report_rows(args.report_path), counts)
+    hist = Counter(row[1] or "(none)" for row in rows)
     solved, missing, errors, hard = _tally(counts)
     print(
-        f"records: {len(records)}  solved: {solved}  no-distinct: {missing}"
+        f"records: {solved + missing + errors}  solved: {solved}  no-distinct: {missing}"
         f"  errors: {errors}  hard: {hard}"
     )
     print("method histogram:")
-    hist = method_histogram(records)
     for tag, count in sorted(hist.items(), key=lambda kv: (-kv[1], kv[0])):
         print(f"  {tag:<20} {count}")
     return 0

@@ -8,8 +8,9 @@ not as an error.
 
 sweep_rows streams one row per n, ordered by n and byte-identical
 regardless of worker count; sweep_range collects it into records.  A
-checkpoint holds the CSV report rows, appended in n order and fsynced
-every 1000 records, so a killed sweep resumes from its completed prefix.
+checkpoint is the CSV report of a sweep's first rows, appended in n order
+and fsynced every 1000 records, so a killed sweep resumes by streaming
+that prefix and solving only the rest.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Generator, Iterable, Iterator, TextIO
 
 from .construct_th2 import theorem2_dispatch
 from .construct_th34 import DEFAULT_K_BOUND, theorem3_search, theorem4_search
@@ -281,91 +282,41 @@ def emit_report(records: list[SweepRecord], format: str, destination: str | Path
     emit_rows(map(_row, records), format, destination)
 
 
-def load_report(source: str | Path, format: str | None = None) -> list[SweepRecord]:
-    """Read a report or a checkpoint back; format inferred from the content
-    when not given.
+def _report_rows(source: str | Path) -> Iterator[tuple]:
+    """The rows of a report or a checkpoint, read one at a time: a CSV line
+    starts with a digit, a JSON report (read whole) with "[".
 
     A row or element that is not a record solve can emit, as write_rows
     writes it (see _row_from_line), raises ValueError naming it.
     """
     path = Path(source)
     try:
-        text = path.read_bytes().decode("utf-8")  # newlines untranslated
+        fh = open(path, "rb")  # newlines untranslated
     except OSError as exc:
         raise OSError(f"cannot read report from {path}: {exc}") from exc
-    if format is None:
-        format = "json" if text.lstrip().startswith("[") else "csv"
-    if format == "json":
-        items, parse, kind = json.loads(text), _row_from_obj, "element"
-    else:
-        items, parse, kind = text.splitlines(keepends=True), _row_from_line, "row"
-    records = []
-    for i, item in enumerate(items, 1):
-        try:
-            records.append(_record_of(parse(item)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: {kind} {i} is not a record: {exc!r}") from exc
-    return records
+    with fh:
+        first = fh.readline()
+        if first.lstrip().startswith(b"["):
+            items = json.loads((first + fh.read()).decode("utf-8"))
+            parse, kind = _row_from_obj, "element"
+        else:
+            items = map(bytes.decode, chain((first,), fh) if first else ())
+            parse, kind = _row_from_line, "row"
+        for i, item in enumerate(items, 1):
+            try:
+                row = parse(item)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: {kind} {i} is not a record: {exc!r}") from exc
+            yield row
+
+
+def load_report(source: str | Path) -> list[SweepRecord]:
+    """Read a report or a checkpoint back (see _report_rows)."""
+    return [_record_of(row) for row in _report_rows(source)]
 
 
 # ---------------------------------------------------------------------------
 # sweeping
-
-class _CheckpointWriter:
-    """Append-only writer of report rows, fsynced every _FSYNC_EVERY lines.
-
-    The file is first cut back to its first keep_bytes bytes, so lines
-    are never appended onto a torn one.
-    """
-
-    def __init__(self, path: str | Path, keep_bytes: int) -> None:
-        try:
-            self._fh = open(path, "a", encoding="utf-8")
-            self._fh.truncate(keep_bytes)
-        except OSError as exc:
-            raise OSError(f"cannot open checkpoint {path}: {exc}") from exc
-        self._pending = 0
-
-    def append(self, line: str) -> None:
-        self._fh.write(line)
-        self._pending += 1
-        if self._pending >= _FSYNC_EVERY:
-            self._sync()
-
-    def _sync(self) -> None:
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self._pending = 0
-
-    def close(self) -> None:
-        self._sync()
-        self._fh.close()
-
-
-def _load_checkpoint(path: str | Path, start: int, end: int) -> tuple[dict[int, tuple], int]:
-    """Rows for n in [start, end] from the checkpoint's intact prefix, and
-    that prefix's length in bytes.
-
-    The prefix ends before the first line that is not a record's report
-    row (see _row_from_line): a crash mid-write leaves such a torn tail,
-    and everything from it on is recomputed.
-    """
-    p = Path(path)
-    if not p.exists():
-        return {}, 0
-    done: dict[int, tuple] = {}
-    intact = 0
-    with open(p, "rb") as fh:
-        for line in fh:
-            try:
-                row = _row_from_line(line.decode())
-            except ValueError:
-                break
-            if start <= row[0] <= end:
-                done[row[0]] = row
-            intact += len(line)
-    return done, intact
-
 
 def _solve_block(ns: list[int]) -> list[tuple]:
     return [_row(solve(n)) for n in ns]
@@ -395,34 +346,71 @@ def _solve_stream(pending: Iterator[int], workers: int) -> Iterator[tuple]:
                 future.cancel()
 
 
+def _resumed_rows(path: str | Path, start: int, end: int) -> Generator[tuple, None, tuple]:
+    """Yield the rows of the checkpoint's run that have n <= end, as they
+    are read; return the first n left to solve and the run's length in bytes.
+
+    The run is the checkpoint's lines for start, start + 1, ... in order.
+    It ends before the first line that is not the next n's report row (see
+    _row_from_line): a torn tail, an edited line, a gap or a repeat.  A
+    missing file is an empty run; a file whose first line is the row of
+    another n is a ValueError.
+    """
+    n = start
+    intact = 0
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return n, intact
+    with fh:
+        for line in fh:
+            try:
+                row = _row_from_line(line.decode())
+            except ValueError:
+                break
+            if row[0] != n:
+                if n == start:
+                    raise ValueError(f"checkpoint {path} starts at n={row[0]}, not at {start}")
+                break
+            if n <= end:
+                yield row
+            n += 1
+            intact += len(line)
+    return n, intact
+
+
 def sweep_rows(config: SweepConfig) -> Iterator[tuple]:
     """One row per n in [start, end], in n order, produced as it is needed.
 
-    Deterministic for any worker count.  With a checkpoint path, rows
-    already on disk are loaded instead of recomputed, and each new row is
-    appended to the checkpoint before it is yielded; an unwritable
-    checkpoint fails before any computation starts.  Memory grows with the
-    number of rows loaded from the checkpoint, not with the range.
+    Deterministic for any worker count.  With a checkpoint path, the rows
+    of the checkpoint's run (see _resumed_rows) are streamed from it, the
+    file is cut after that run, and each new row is appended to it before
+    it is yielded, fsynced every _FSYNC_EVERY rows; an unwritable checkpoint
+    fails before any row is solved.  Memory does not grow with the range.
     """
-    done: dict[int, tuple] = {}
-    writer = None
-    if config.checkpoint_path is not None:
-        done, intact = _load_checkpoint(config.checkpoint_path, config.start, config.end)
-        writer = _CheckpointWriter(config.checkpoint_path, intact)
-    span = range(config.start, config.end + 1)
-    solved = _solve_stream((n for n in span if n not in done), config.workers)
+    path = config.checkpoint_path
+    if path is None:
+        yield from _solve_stream(iter(range(config.start, config.end + 1)), config.workers)
+        return
+    first, intact = yield from _resumed_rows(path, config.start, config.end)
     try:
-        for n in span:
-            row = done.get(n)
-            if row is None:
-                row = next(solved)
-                if writer is not None:
-                    writer.append(_csv_line(row))
-            yield row
-    finally:
-        solved.close()
-        if writer is not None:
-            writer.close()
+        fh = open(path, "a", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"cannot open checkpoint {path}: {exc}") from exc
+    with fh:
+        fh.truncate(intact)
+        solved = _solve_stream(iter(range(first, config.end + 1)), config.workers)
+        try:
+            for written, row in enumerate(solved, 1):
+                fh.write(_csv_line(row))
+                if written % _FSYNC_EVERY == 0:
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                yield row
+        finally:
+            solved.close()
+            fh.flush()
+            os.fsync(fh.fileno())
 
 
 def sweep_range(config: SweepConfig) -> list[SweepRecord]:

@@ -190,6 +190,36 @@ class TestStreamedSweep:
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
+class TestCheckpointRun:
+    """A checkpoint is resumed only as the report of the sweep's first rows."""
+
+    @pytest.fixture
+    def ck_200(self, tmp_path, capsys):
+        ck = tmp_path / "ck"
+        assert cli_main(["sweep", "3", "200", "--checkpoint", str(ck)]) == 0
+        capsys.readouterr()
+        return ck
+
+    def test_other_start_exits_two_untouched(self, tmp_path, capsys, ck_200):
+        before = ck_200.read_bytes()
+        report = tmp_path / "out.csv"
+        argv = ["sweep", "50", "300", "--checkpoint", str(ck_200), "--report", str(report)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("usage error: checkpoint ")
+        assert ck_200.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [ck_200.name]
+
+    def test_shorter_range_keeps_longer_checkpoint(self, tmp_path, capsys, ck_200):
+        before = ck_200.read_bytes()
+        report, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
+        argv = ["sweep", "3", "100", "--checkpoint", str(ck_200), "--report", str(report)]
+        assert cli_main(argv) == 0
+        assert cli_main(["sweep", "3", "100", "--report", str(fresh)]) == 0
+        assert report.read_bytes() == fresh.read_bytes()
+        assert before.startswith(fresh.read_bytes())
+        assert ck_200.read_bytes() == before
+
+
 class TestStats:
     def test_histogram(self, tmp_path, capsys):
         report = tmp_path / "out.csv"
@@ -282,6 +312,11 @@ class TestUsage:
 
     def test_no_args(self, capsys):
         assert cli_main([]) == 2
+
+    @pytest.mark.parametrize("argv", [[], ["--count"]], ids=["first", "count"])
+    def test_oracle_limit_needs_all(self, capsys, argv):
+        assert cli_main(["oracle", "4", "24", "--limit", "3", *argv]) == 2
+        assert capsys.readouterr() == ("", "usage error: --limit needs --all\n")
 
 
 def readme_cli_commands():

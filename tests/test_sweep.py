@@ -2,7 +2,9 @@ import csv
 import hashlib
 import io
 import json
+import tracemalloc
 import warnings
+from collections import deque
 from fractions import Fraction as PyFraction
 
 import pytest
@@ -138,7 +140,6 @@ class TestSerialization:
             path = tmp_path / f"r.{fmt}"
             emit_report(records, fmt, path)
             assert load_report(path) == records
-            assert load_report(path, format=fmt) == records
 
     def test_json_nulls_for_missing_triple(self, tmp_path):
         path = tmp_path / "r.json"
@@ -352,6 +353,34 @@ class TestSweepRange:
             assert sweep_range(SweepConfig(3, 3000, checkpoint_path=ck)) == fresh
         emit_report(fresh, "csv", tmp_path / "fresh.csv")
         assert ck.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+    def test_resume_recomputes_from_a_gap(self, tmp_path):
+        # the run ends at the gap: 57 and every row after it are solved again
+        fresh_ck, ck = tmp_path / "fresh.csv", tmp_path / "ck.csv"
+        fresh = sweep_range(SweepConfig(3, 200, checkpoint_path=fresh_ck))
+        line = sweep_mod._csv_line(sweep_mod._row(solve(57))).encode()
+        ck.write_bytes(fresh_ck.read_bytes().replace(line, b"", 1))
+        assert ck.read_bytes() != fresh_ck.read_bytes()
+        assert sweep_range(SweepConfig(3, 200, checkpoint_path=ck)) == fresh
+        assert ck.read_bytes() == fresh_ck.read_bytes()
+
+    def test_resume_holds_no_checkpoint_rows(self, tmp_path, monkeypatch):
+        ck = tmp_path / "sweep.csv"
+        deque(sweep_mod.sweep_rows(SweepConfig(3, 30000, checkpoint_path=ck)), maxlen=0)
+
+        def boom(n, k_bound=999):
+            raise AssertionError("solve called despite complete checkpoint")
+
+        monkeypatch.setattr(sweep_mod, "solve", boom)
+        tracemalloc.start()
+        try:
+            rows = sweep_mod.sweep_rows(SweepConfig(3, 30000, checkpoint_path=ck))
+            last = deque(rows, maxlen=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert last[0][0] == 30000
+        assert peak < 1_000_000
 
     def test_checkpoint_skips_recomputation(self, tmp_path, monkeypatch):
         ck = tmp_path / "sweep.csv"
