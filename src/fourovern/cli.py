@@ -101,9 +101,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tally(counts: Counter) -> tuple[int, int, int, int]:
+def _tally(counts: dict[str, int]) -> tuple[int, int, int, int]:
     """Solved, no-distinct, error and hard counts from counts of status tags
-    and of "hard"."""
+    and of "hard" (as _counted or write_rows makes them)."""
     return (counts[Status.SOLVED.value], counts[Status.NO_DISTINCT_SOLUTION.value],
             counts[Status.ERROR.value], counts["hard"])
 
@@ -125,12 +125,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         checkpoint_path=args.checkpoint,
     )
     # closing: a report write that fails still stops the pool and closes the checkpoint
-    with closing(sweep_rows(config)) as rows:
+    with closing(sweep_rows(config)) as pairs:
         if not args.report:
-            write_rows(rows, args.format, sys.stdout)
+            write_rows(pairs, args.format, sys.stdout)
             return 0
-        counts: Counter = Counter()
-        emit_rows(_counted(rows, counts), args.format, args.report)
+        counts = emit_rows(pairs, args.format, args.report)
     solved, missing, errors, hard = _tally(counts)
     print(
         f"{solved + missing + errors} records -> {args.report}"

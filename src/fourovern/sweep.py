@@ -7,10 +7,11 @@ decomposition into three distinct unit fractions and is reported as such,
 not as an error.
 
 sweep_rows streams one row per n, ordered by n and byte-identical
-regardless of worker count; sweep_range collects it into records.  A
-checkpoint is the CSV report of a sweep's first rows, appended in n order
-and fsynced every 1000 records, so a killed sweep resumes by streaming
-that prefix and solving only the rest.
+regardless of worker count, each with its CSV line, formatted once where
+the row is made; sweep_range collects it into records.  A checkpoint is
+the CSV report of a sweep's first rows, appended in n order and fsynced
+every 1000 records, so a killed sweep resumes by streaming that prefix,
+each line passed on as it was read, and solving only the rest.
 """
 
 from __future__ import annotations
@@ -135,8 +136,10 @@ def solve(n: int, k_bound: int = DEFAULT_K_BOUND) -> SweepRecord:
 # serialization
 #
 # A row is the plain tuple (n, method tag or None, x1, x2, x3, status tag,
-# hard): what pool workers send back, what a checkpoint line holds, and what
-# every writer formats directly, without building a SweepRecord or a dict.
+# hard): what a checkpoint line holds, and what every writer formats
+# directly, without building a SweepRecord or a dict.  A stream carries
+# each row as the pair (row, _csv_line(row)), so that the checkpoint and a
+# CSV report write the line made once.
 
 def _row(rec: SweepRecord) -> tuple:
     # _value_ is the member's plain attribute; .value costs a descriptor call
@@ -154,29 +157,38 @@ def record_to_obj(rec: SweepRecord) -> dict:
     return dict(zip(CSV_COLUMNS, _row(rec)))
 
 
+_SOLVED = Status.SOLVED.value
+# status tag -> the method tags (None for no method) a record with it carries
+_METHODS_OF_STATUS = {
+    _SOLVED: frozenset(m.value for m in Method) - {Method.NO_DISTINCT_SOLUTION.value},
+    Status.NO_DISTINCT_SOLUTION.value: frozenset({Method.NO_DISTINCT_SOLUTION.value}),
+    Status.ERROR.value: frozenset({None}),
+}
+
+
 def _checked_row(n, method, x1, x2, x3, status, hard) -> tuple:
     """The row with these fields if solve can emit it, else ValueError.
 
-    Every record has an int n >= 2 and a bool hard.  A Solved record has
-    int parts 0 < x1 < x2 < x3 with 4/n = 1/x1 + 1/x2 + 1/x3, checked
-    exactly as 4*x1*x2*x3 == n*(x1*x2 + x1*x3 + x2*x3), and a solving
-    method; a NoDistinctSolution record has that method and no parts; an
-    Error record has neither a method nor parts.
+    Every record has an int n >= 2, a status tag and a bool hard.  A Solved
+    record has int parts 0 < x1 < x2 < x3 with 4/n = 1/x1 + 1/x2 + 1/x3,
+    checked exactly as 4*x1*x2*x3 == n*(x1*x2 + x1*x3 + x2*x3), and a
+    solving method tag; a NoDistinctSolution record has that method tag and
+    no parts; an Error record has neither a method nor parts.
     """
-    as_method = Method(method) if method is not None else None
-    as_status = Status(status)
-    ok = type(n) is int and n >= 2 and type(hard) is bool
-    if as_status is Status.SOLVED:
-        ok = (ok and as_method not in (None, Method.NO_DISTINCT_SOLUTION)
-              and type(x1) is type(x2) is type(x3) is int and 0 < x1 < x2 < x3
+    try:
+        ok = method in _METHODS_OF_STATUS[status]
+    except (KeyError, TypeError):  # not a status tag, or a tag that cannot be one
+        ok = False
+    ok = ok and type(n) is int and n >= 2 and type(hard) is bool
+    if status == _SOLVED:
+        ok = (ok and type(x1) is type(x2) is type(x3) is int and 0 < x1 < x2 < x3
               and 4 * x1 * x2 * x3 == n * (x1 * x2 + x1 * x3 + x2 * x3))
     else:
-        want = Method.NO_DISTINCT_SOLUTION if as_status is Status.NO_DISTINCT_SOLUTION else None
-        ok = ok and as_method is want and x1 is x2 is x3 is None
+        ok = ok and x1 is x2 is x3 is None
     if not ok:
         raise ValueError(
             f"n={n!r}, method {method!r}, parts ({x1!r}, {x2!r}, {x3!r}), hard={hard!r}:"
-            f" not a {as_status.value} record"
+            f" not a {status!r} record"
         )
     return (n, method, x1, x2, x3, status, hard)
 
@@ -193,10 +205,12 @@ def _row_from_line(line: str) -> tuple:
     """The row whose _csv_line is exactly line, if solve can emit it (see
     _checked_row); else ValueError, so " 7", "+3" or "07" is rejected too."""
     n, method, x1, x2, x3, status, hard = line[:-1].split(",")
-    x1, x2, x3 = (int(x) if x else None for x in (x1, x2, x3))
-    row = _checked_row(int(n), method or None, x1, x2, x3, status, hard == "true")
-    if _csv_line(row) != line:
-        raise ValueError(f"{line!r} is not written as {_csv_line(row)!r}")
+    row = _checked_row(int(n), method or None, int(x1) if x1 else None,
+                       int(x2) if x2 else None, int(x3) if x3 else None, status,
+                       hard == "true")
+    written = _csv_line(row)
+    if written != line:
+        raise ValueError(f"{line!r} is not written as {written!r}")
     return row
 
 
@@ -206,6 +220,10 @@ def _csv_line(row: tuple) -> str:
     if x1 is None:
         x1 = x2 = x3 = ""
     return f"{n},{method or ''},{x1},{x2},{x3},{status},{'true' if hard else 'false'}\n"
+
+
+def _with_line(row: tuple) -> tuple[tuple, str]:
+    return row, _csv_line(row)
 
 
 def _json_item(row: tuple) -> str:
@@ -220,21 +238,31 @@ def _json_item(row: tuple) -> str:
             f'  "x3": {x3},\n  "status": "{status}",\n  "hard": {hard}\n }}')
 
 
-def write_rows(rows: Iterable[tuple], format: str, fh: TextIO) -> None:
-    """Write rows to fh as the report write_report describes, one row at a time."""
+def write_rows(pairs: Iterable[tuple[tuple, str]], format: str, fh: TextIO) -> dict[str, int]:
+    """Write the (row, line) pairs of a stream to fh as the report
+    write_report describes, one at a time: a CSV report writes each line as
+    it is, a JSON report formats each row.
+
+    Return the number of rows written of each status tag and, as "hard",
+    of the hard ones.
+    """
+    counts = dict.fromkeys([*_METHODS_OF_STATUS, "hard"], 0)
     if format == "csv":
-        fh.writelines(map(_csv_line, rows))
+        for row, line in pairs:
+            counts[row[5]] += 1
+            counts["hard"] += row[6]
+            fh.write(line)
     elif format == "json":
-        items = map(_json_item, rows)
-        first = next(items, None)
-        if first is None:
-            fh.write("[]\n")
-            return
-        fh.write("[\n" + first)
-        fh.writelines(",\n" + item for item in items)
-        fh.write("\n]\n")
+        sep = "[\n"
+        for row, _ in pairs:
+            counts[row[5]] += 1
+            counts["hard"] += row[6]
+            fh.write(sep + _json_item(row))
+            sep = ",\n"
+        fh.write("[]\n" if sep == "[\n" else "\n]\n")
     else:
         raise ValueError(f"unknown report format: {format!r}")
+    return counts
 
 
 def write_report(records: Iterable[SweepRecord], format: str, fh: TextIO) -> None:
@@ -244,15 +272,16 @@ def write_report(records: Iterable[SweepRecord], format: str, fh: TextIO) -> Non
     Absent triple fields serialize as empty (CSV) or null (JSON).  CSV has
     no header row, so the row count equals the number of records.
     """
-    write_rows(map(_row, records), format, fh)
+    write_rows(map(_with_line, map(_row, records)), format, fh)
 
 
-def emit_rows(rows: Iterable[tuple], format: str, destination: str | Path) -> None:
-    """Stream rows (see write_rows) to a sibling <destination>.tmp, then
-    rename it over destination.
+def emit_rows(pairs: Iterable[tuple[tuple, str]], format: str,
+              destination: str | Path) -> dict[str, int]:
+    """Stream pairs (see write_rows) to a sibling <destination>.tmp, then
+    rename it over destination; return write_rows' counts.
 
     If anything fails before the rename, including the iterator producing
-    the rows, the temporary file is removed and destination keeps its
+    the pairs, the temporary file is removed and destination keeps its
     previous contents.
     """
     path = Path(destination)
@@ -263,11 +292,12 @@ def emit_rows(rows: Iterable[tuple], format: str, destination: str | Path) -> No
         raise OSError(f"cannot write report to {path}: {exc}") from exc
     try:
         with fh:
-            write_rows(rows, format, fh)
+            counts = write_rows(pairs, format, fh)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return counts
 
 
 def emit_report(records: list[SweepRecord], format: str, destination: str | Path) -> None:
@@ -279,7 +309,7 @@ def emit_report(records: list[SweepRecord], format: str, destination: str | Path
     """
     if any(a.n >= b.n for a, b in zip(records, records[1:])):
         raise ValueError("records must be sorted by n")
-    emit_rows(map(_row, records), format, destination)
+    emit_rows(map(_with_line, map(_row, records)), format, destination)
 
 
 def _report_rows(source: str | Path) -> Iterator[tuple]:
@@ -287,7 +317,8 @@ def _report_rows(source: str | Path) -> Iterator[tuple]:
     starts with a digit, a JSON report (read whole) with "[".
 
     A row or element that is not a record solve can emit, as write_rows
-    writes it (see _row_from_line), raises ValueError naming it.
+    writes it (see _row_from_line), or whose n does not exceed the n
+    before it, raises ValueError naming it.
     """
     path = Path(source)
     try:
@@ -302,11 +333,16 @@ def _report_rows(source: str | Path) -> Iterator[tuple]:
         else:
             items = map(bytes.decode, chain((first,), fh) if first else ())
             parse, kind = _row_from_line, "row"
+        last = 1  # every record has n >= 2
         for i, item in enumerate(items, 1):
             try:
                 row = parse(item)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: {kind} {i} is not a record: {exc!r}") from exc
+            if row[0] <= last:
+                raise ValueError(f"{path}: {kind} {i} has n={row[0]}, not above"
+                                 f" n={last} of {kind} {i - 1}")
+            last = row[0]
             yield row
 
 
@@ -322,10 +358,10 @@ def _solve_block(ns: list[int]) -> list[tuple]:
     return [_row(solve(n)) for n in ns]
 
 
-def _solve_stream(pending: Iterator[int], workers: int) -> Iterator[tuple]:
+def _solve_stream(pending: Iterator[int], workers: int) -> Iterator[tuple[tuple, str]]:
     if workers == 1:
         for n in pending:
-            yield _row(solve(n))
+            yield _with_line(_row(solve(n)))
         return
     # Fixed-size blocks picked up by whichever worker is free; results are
     # consumed in submission order, so output never depends on scheduling.
@@ -338,17 +374,18 @@ def _solve_stream(pending: Iterator[int], workers: int) -> Iterator[tuple]:
             for block in blocks:
                 inflight.append(pool.submit(_solve_block, block))
                 if len(inflight) > _IN_FLIGHT * workers:
-                    yield from inflight.popleft().result()
+                    yield from map(_with_line, inflight.popleft().result())
             while inflight:
-                yield from inflight.popleft().result()
+                yield from map(_with_line, inflight.popleft().result())
         finally:
             for future in inflight:
                 future.cancel()
 
 
 def _resumed_rows(path: str | Path, start: int, end: int) -> Generator[tuple, None, tuple]:
-    """Yield the rows of the checkpoint's run that have n <= end, as they
-    are read; return the first n left to solve and the run's length in bytes.
+    """Yield the (row, line) pairs of the checkpoint's run that have
+    n <= end, each line as it was read; return the first n left to solve
+    and the run's length in bytes.
 
     The run is the checkpoint's lines for start, start + 1, ... in order.
     It ends before the first line that is not the next n's report row (see
@@ -365,7 +402,8 @@ def _resumed_rows(path: str | Path, start: int, end: int) -> Generator[tuple, No
     with fh:
         for line in fh:
             try:
-                row = _row_from_line(line.decode())
+                text = line.decode()
+                row = _row_from_line(text)
             except ValueError:
                 break
             if row[0] != n:
@@ -373,20 +411,22 @@ def _resumed_rows(path: str | Path, start: int, end: int) -> Generator[tuple, No
                     raise ValueError(f"checkpoint {path} starts at n={row[0]}, not at {start}")
                 break
             if n <= end:
-                yield row
+                yield row, text
             n += 1
             intact += len(line)
     return n, intact
 
 
-def sweep_rows(config: SweepConfig) -> Iterator[tuple]:
-    """One row per n in [start, end], in n order, produced as it is needed.
+def sweep_rows(config: SweepConfig) -> Iterator[tuple[tuple, str]]:
+    """One (row, line) pair per n in [start, end], in n order, produced as
+    it is needed; line is the row's CSV line, made once per row.
 
-    Deterministic for any worker count.  With a checkpoint path, the rows
+    Deterministic for any worker count.  With a checkpoint path, the pairs
     of the checkpoint's run (see _resumed_rows) are streamed from it, the
-    file is cut after that run, and each new row is appended to it before
-    it is yielded, fsynced every _FSYNC_EVERY rows; an unwritable checkpoint
-    fails before any row is solved.  Memory does not grow with the range.
+    file is cut after that run, and each new row's line is appended to it
+    before the pair is yielded, fsynced every _FSYNC_EVERY rows; an
+    unwritable checkpoint fails before any row is solved.  Memory does not
+    grow with the range.
     """
     path = config.checkpoint_path
     if path is None:
@@ -401,12 +441,12 @@ def sweep_rows(config: SweepConfig) -> Iterator[tuple]:
         fh.truncate(intact)
         solved = _solve_stream(iter(range(first, config.end + 1)), config.workers)
         try:
-            for written, row in enumerate(solved, 1):
-                fh.write(_csv_line(row))
+            for written, pair in enumerate(solved, 1):
+                fh.write(pair[1])
                 if written % _FSYNC_EVERY == 0:
                     fh.flush()
                     os.fsync(fh.fileno())
-                yield row
+                yield pair
         finally:
             solved.close()
             fh.flush()
@@ -416,7 +456,7 @@ def sweep_rows(config: SweepConfig) -> Iterator[tuple]:
 def sweep_range(config: SweepConfig) -> list[SweepRecord]:
     """One record per n in [start, end], ordered by n: the rows of
     sweep_rows(config) as SweepRecords, whose detail is None."""
-    return [_record_of(row) for row in sweep_rows(config)]
+    return [_record_of(row) for row, _ in sweep_rows(config)]
 
 
 def method_histogram(records: Iterable[SweepRecord]) -> dict[str, int]:

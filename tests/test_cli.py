@@ -172,6 +172,50 @@ class TestStreamedSweep:
         assert "2998 records" in capsys.readouterr().out
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([ck.name, report.name])
 
+    @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resumed"])
+    def test_each_row_formatted_once(self, tmp_path, capsys, monkeypatch, reference_3000,
+                                     resume):
+        # one _csv_line call per row: for a new row the line that both the
+        # checkpoint and the report write, for a resumed row its check
+        ck, report = tmp_path / "ck", tmp_path / "out.csv"
+        if resume:
+            assert cli_main(["sweep", "3", "1500", "--checkpoint", str(ck)]) == 0
+        calls = []
+        real = sweep_mod._csv_line
+
+        def counted(row):
+            calls.append(row[0])
+            return real(row)
+
+        monkeypatch.setattr(sweep_mod, "_csv_line", counted)
+        argv = ["sweep", "3", "3000", "--checkpoint", str(ck), "--report", str(report)]
+        assert cli_main(argv) == 0
+        assert len(calls) == 2998 and sorted(calls) == list(range(3, 3001))
+        assert report.read_bytes() == ck.read_bytes() == reference_3000["csv"]
+        assert "2998 records" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cells", [("Bogus", None), (None, "Bogus"), (None, "solved")],
+                             ids=["method-Bogus", "status-Bogus", "status-solved"])
+    def test_bad_tag_cuts_checkpoint(self, tmp_path, capsys, reference_3000, cells):
+        # line 1500 (n = 1502) is a record solve can emit but for one tag: a
+        # Solved row with another method, or an Error row with another status;
+        # the resume cuts it and everything after it, like a torn tail
+        method, status = cells
+        lines = reference_3000["checkpoint"].decode().splitlines(keepends=True)
+        n, _, x1, x2, x3, _, hard = lines[1499].split(",")
+        assert n == "1502"
+        if method:
+            lines[1499] = ",".join([n, method, x1, x2, x3, "Solved", hard])
+        else:
+            lines[1499] = ",".join([n, "", "", "", "", status, hard])
+        ck, report = tmp_path / "ck", tmp_path / "out.csv"
+        ck.write_text("".join(lines))
+        argv = ["sweep", "3", "3000", "--checkpoint", str(ck), "--report", str(report)]
+        assert cli_main(argv) == 0
+        assert report.read_bytes() == reference_3000["csv"]
+        assert ck.read_bytes() == reference_3000["checkpoint"]
+        assert "2998 records" in capsys.readouterr().out
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_failed_sweep_keeps_previous_report(self, tmp_path, monkeypatch, workers):
         real_solve = sweep_mod.solve
@@ -272,13 +316,21 @@ class TestStats:
             "7,Mod4Is3,3,6,14,Solved,false\r\n",
             "7,Mod4Is3,3,6,14,Solved,false",
             "\n7,Mod4Is3,3,6,14,Solved,false\n",
+            # a tag that is not one solve writes, in a record otherwise well formed
+            "7,Bogus,3,6,14,Solved,false\n",
+            "7,,,,,Bogus,false\n",
+            '[{"n": 7, "method": ["Mod4Is3"], "x1": 3, "x2": 6, "x3": 14, "status": "Solved",'
+            ' "hard": false}]',
+            '[{"n": 7, "method": null, "x1": null, "x2": null, "x3": null, "status": 1,'
+            ' "hard": false}]',
         ],
         ids=[
             "csv-hard-maybe", "json-no-method", "json-not-object", "json-hard-string",
             "json-x1-string", "json-x2-float", "json-solved-x3-null", "csv-solved-no-x3",
             "json-negative-n-null-method", "csv-wrong-sum", "csv-nds-no-method",
             "csv-space-n", "csv-plus-x1", "csv-zero-padded-n", "csv-underscore-x3",
-            "csv-crlf", "csv-no-newline", "csv-blank-line",
+            "csv-crlf", "csv-no-newline", "csv-blank-line", "csv-method-bogus",
+            "csv-status-bogus", "json-method-list", "json-status-int",
         ],
     )
     def test_malformed_report_exits_two(self, tmp_path, capsys, text):
@@ -287,6 +339,20 @@ class TestStats:
         assert cli_main(["stats", str(report)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and " 1 is not a record" in err
+
+    @pytest.mark.parametrize("form", ["csv-repeat", "csv-descending", "json-repeat"])
+    def test_unordered_report_exits_two(self, tmp_path, capsys, form):
+        seven, eight = (sweep_mod._row(sweep_mod.solve(n)) for n in (7, 8))
+        rows = [eight, seven] if form == "csv-descending" else [seven, seven]
+        report = tmp_path / "bad"
+        if form == "json-repeat":
+            report.write_text(json.dumps([dict(zip(sweep_mod.CSV_COLUMNS, r)) for r in rows]))
+        else:
+            report.write_text("".join(map(sweep_mod._csv_line, rows)))
+        assert cli_main(["stats", str(report)]) == 2
+        err = capsys.readouterr().err
+        kind = "element" if form == "json-repeat" else "row"
+        assert err.startswith("usage error: ") and f" {kind} 2 has n=7, not above" in err
 
 
 class TestUsage:

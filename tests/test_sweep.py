@@ -379,7 +379,8 @@ class TestSweepRange:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert last[0][0] == 30000
+        row, line = last[0]
+        assert row[0] == 30000 and line.startswith("30000,")
         assert peak < 1_000_000
 
     def test_checkpoint_skips_recomputation(self, tmp_path, monkeypatch):
