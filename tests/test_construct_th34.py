@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as PyFraction
 from functools import lru_cache
 
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 from fourovern.construct_th34 import (
     DEFAULT_K_BOUND,
     Th3Params,
+    _least_m,
     _m_candidates,
+    _m_in_class,
     theorem3_search,
     theorem4_search,
 )
-from fourovern.core_arith import divisors, factorize
+from fourovern.core_arith import divisors, factorize, is_prime
 from fourovern.triples import ConstructionError, Method, make_triple
 
 
@@ -173,30 +176,74 @@ def divisor_m_list(s):
     return [m for m in divisors(s) if m % 4 == 3]
 
 
+# (s, its divisors 3 mod 4): small primes, primes above 1000, and products
+# of two primes 3 mod 4 above 1000, which are 1 mod 4 themselves
+KNOWN_M_LISTS = [
+    (2**40, ()),
+    (3**12, tuple(3**i for i in range(1, 13, 2))),
+    (2**7 * 3**5, (3, 27, 243)),
+    (7**2 * 11, (7, 11, 539)),
+    (2**3 * 7**2 * 11, (7, 11, 539)),
+    (1009 * 1013, ()),                       # both 1 (mod 4)
+    (5**3 * 1009 * 1013 * 2**5, ()),
+    (1019, (1019,)),                          # prime 3 (mod 4) above 1000
+    (2 * 1019 * 1031, (1019, 1031)),         # 1019 * 1031 is 1 (mod 4)
+    (1009 * 1019, (1019, 1009 * 1019)),
+    (3 * 1009 * 1019, (3, 1019, 3 * 1009, 1009 * 1019)),
+    ((10**9 + 7) * 4, (10**9 + 7,)),         # 10**9 + 7 is 3 (mod 4)
+    (1019**2, (1019,)),
+    (4 * 1009**2, ()),
+]
+
+
 class TestMCandidates:
     def test_matches_brute_force(self):
         for s in range(1, 20_001):
             assert list(_m_candidates(s)) == brute_m_list(s), s
 
-    @pytest.mark.parametrize(
-        "s,want",
-        [
-            (2**40, ()),
-            (3**12, tuple(3**i for i in range(1, 13, 2))),
-            (2**7 * 3**5, (3, 27, 243)),
-            (7**2 * 11, (7, 11, 539)),
-            (2**3 * 7**2 * 11, (7, 11, 539)),
-            (1009 * 1013, ()),                       # both 1 (mod 4)
-            (5**3 * 1009 * 1013 * 2**5, ()),
-            (1019, (1019,)),                          # prime 3 (mod 4) above 1000
-            (2 * 1019 * 1031, (1019, 1031)),         # 1019 * 1031 is 1 (mod 4)
-            (1009 * 1019, (1019, 1009 * 1019)),
-            (3 * 1009 * 1019, (3, 1019, 3 * 1009, 1009 * 1019)),
-            ((10**9 + 7) * 4, (10**9 + 7,)),         # 10**9 + 7 is 3 (mod 4)
-        ],
-    )
+    @pytest.mark.parametrize("s,want", KNOWN_M_LISTS)
     def test_known_factorizations(self, s, want):
         assert _m_candidates(s) == want
+
+
+class TestLeastM:
+    def test_matches_brute_force(self):
+        for s in range(1, 20_001):
+            assert [_least_m(s)] == (brute_m_list(s)[:1] or [None]), s
+
+    @pytest.mark.parametrize("s,want", KNOWN_M_LISTS)
+    def test_known_factorizations(self, s, want):
+        assert _least_m(s) == (want[0] if want else None)
+
+    # 1001**2 = 7**2 * 11**2 * 13**2: odd parts below it have at most one
+    # prime above 1000, and are settled by gcds; the rest are factored
+    @pytest.mark.parametrize("power_of_two", [1, 2, 8])
+    def test_odd_part_around_1001_squared(self, power_of_two):
+        for odd in range(1001**2 - 200, 1001**2 + 201, 2):
+            s = odd * power_of_two
+            assert [_least_m(s)] == (divisor_m_list(s)[:1] or [None]), s
+
+
+class TestMInClass:
+    def test_keeps_every_passing_m(self):
+        # ascending divisors of s that are 3 (mod 4), among them every m
+        # with kk | a*t; kk ranges over theorem3_search's 3*kk <= s
+        for s in range(3, 2001):
+            ms = brute_m_list(s)
+            for kk in range(1, min(s // 3, 99) + 1, 2):
+                got = list(_m_in_class(s, kk))
+                assert got == [m for m in ms if m in got], (s, kk, got)
+                passing = [m for m in ms if s // m * ((m + 1) // 4) % kk == 0]
+                assert set(passing) <= set(got), (s, kk, got)
+
+    @pytest.mark.parametrize("kk,want", [(13, [51, 935, 3795]), (19, [759]), (31, [])])
+    def test_short_class_is_exact(self, kk, want):
+        # kk is a prime not dividing s, so u = kk, and the class of cofactors
+        # of the odd part 64515 holds fewer than 30 values: the scan gives
+        # exactly the m dividing s with m = -1 (mod 4*kk)
+        s = 2 * 3 * 5 * 11 * 17 * 23
+        assert [m for m in brute_m_list(s) if m % (4 * kk) == 4 * kk - 1] == want
+        assert list(_m_in_class(s, kk)) == want
 
 
 def unpruned_theorem3_search(n, k_bound, m_list=brute_m_list):
@@ -220,6 +267,16 @@ def unpruned_theorem3_search(n, k_bound, m_list=brute_m_list):
     return None
 
 
+# every hard n <= 1e6 that solve() attributes to the oracle
+ORACLE_FALL_THROUGHS = [
+    409, 577, 5569, 9601, 23929, 83449, 102001, 167281, 181729, 230281,
+    282481, 329617, 332929, 404449, 712321,
+]
+
+# every 213th prime 1 (mod 24) above 1e5: 40 hard primes below 1e6
+HARD_PRIME_SAMPLE = [p for p in range(100_009, 10**6, 24) if is_prime(p)][::213][:40]
+
+
 def parts_and_witness(found):
     return None if found is None else (found[0].values, found[1])
 
@@ -238,6 +295,28 @@ class TestPrunedScanMatchesFullScan:
     def test_hard_primes_and_three(self, n, k_bound):
         found = theorem3_search(n, k_bound)
         assert parts_and_witness(found) == unpruned_theorem3_search(n, k_bound)
+
+    # the hard n <= 1e6 that theorem3_search leaves to the oracle, so each
+    # scans every k <= 999, and a fixed sample of hard primes in (1e5, 1e6):
+    # long scans of large sums, where most m come from the cofactor class
+    @pytest.mark.parametrize("n", ORACLE_FALL_THROUGHS + HARD_PRIME_SAMPLE)
+    def test_long_scans(self, n):
+        assert parts_and_witness(theorem3_search(n)) == unpruned_theorem3_search(
+            n, DEFAULT_K_BOUND, divisor_m_list
+        )
+
+    def test_memory_flat_in_k_bound(self):
+        # n = 3 shares a factor with every third k, and no witness has distinct
+        # parts, so the scan runs to k_bound; the k it visits are made lazily
+        theorem3_search(3, 99)  # tables built on first use are not counted
+        tracemalloc.start()
+        try:
+            found = theorem3_search(3, 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert parts_and_witness(found) == unpruned_theorem3_search(3, 200_000, divisor_m_list)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=1, max_value=10**12 // 2 - 1))
