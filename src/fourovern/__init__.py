@@ -2,7 +2,7 @@
 
 Constructive residue-class paths, divisor/odd-k witness searches, and an
 independent exhaustive oracle, composed into a verified solving pipeline
-with range sweeps, checkpointing and CSV/JSON reports.
+with range sweeps, checkpointing and CSV reports.
 """
 
 from .core_arith import (
@@ -49,7 +49,6 @@ from .sweep import (
     emit_report,
     load_report,
     method_histogram,
-    record_from_obj,
     record_to_obj,
     solve,
     sweep_range,
@@ -93,7 +92,6 @@ __all__ = [
     "path_mod3_0",
     "path_mod3_2",
     "path_prime_13mod24",
-    "record_from_obj",
     "record_to_obj",
     "solve",
     "solve_two_term",

@@ -30,10 +30,15 @@ from .sweep import (
 )
 from .two_term import solve_two_term
 
+# theorem3_search scans every odd k up to the bound when no witness exists
+_MAX_K_BOUND = 10**6
+
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.k_bound < 1:
         raise ValueError(f"--k-bound must be >= 1, got {args.k_bound}")
+    if args.k_bound > _MAX_K_BOUND:
+        raise ValueError(f"--k-bound must be <= {_MAX_K_BOUND}, got {args.k_bound}")
     rec = solve(args.n, args.k_bound)
     if args.json:
         print(json.dumps(record_to_obj(rec)))
@@ -127,9 +132,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # closing: a report write that fails still stops the pool and closes the checkpoint
     with closing(sweep_rows(config)) as pairs:
         if not args.report:
-            write_rows(pairs, args.format, sys.stdout)
+            write_rows(pairs, sys.stdout)
             return 0
-        counts = emit_rows(pairs, args.format, args.report)
+        counts = emit_rows(pairs, args.report)
     solved, missing, errors, hard = _tally(counts)
     print(
         f"{solved + missing + errors} records -> {args.report}"
@@ -163,7 +168,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="solve 4/n and print the construction used")
     p.add_argument("n", type=int)
     p.add_argument(
-        "--k-bound", type=int, default=DEFAULT_K_BOUND, help="witness search bound on odd k"
+        "--k-bound", type=int, default=DEFAULT_K_BOUND,
+        help=f"witness search bound on odd k, at most {_MAX_K_BOUND}"
     )
     p.add_argument("--json", action="store_true", help="print the record as JSON")
     p.set_defaults(func=_cmd_decompose)
@@ -188,8 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("end", type=int)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--checkpoint", default=None, help="CSV checkpoint path (resumable)")
-    p.add_argument("--report", default=None, help="report destination (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--report", default=None, help="CSV report destination (default: stdout)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("stats", help="method histogram and hard-class count of a report")

@@ -11,18 +11,18 @@ regardless of worker count, each with its CSV line, formatted once where
 the row is made; sweep_range collects it into records.  A checkpoint is
 the CSV report of a sweep's first rows, appended in n order and fsynced
 every 1000 records, so a killed sweep resumes by streaming that prefix,
-each line passed on as it was read, and solving only the rest.
+each line passed on as it was read, and solving only the rest.  The CSV
+report is the only report format; it is read back one row at a time.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import Generator, Iterable, Iterator, TextIO
 
@@ -136,10 +136,10 @@ def solve(n: int, k_bound: int = DEFAULT_K_BOUND) -> SweepRecord:
 # serialization
 #
 # A row is the plain tuple (n, method tag or None, x1, x2, x3, status tag,
-# hard): what a checkpoint line holds, and what every writer formats
+# hard): what a report or checkpoint line holds, formatted by _csv_line
 # directly, without building a SweepRecord or a dict.  A stream carries
-# each row as the pair (row, _csv_line(row)), so that the checkpoint and a
-# CSV report write the line made once.
+# each row as the pair (row, _csv_line(row)), so that the checkpoint and
+# the report write the line made once.
 
 def _row(rec: SweepRecord) -> tuple:
     # _value_ is the member's plain attribute; .value costs a descriptor call
@@ -193,14 +193,6 @@ def _checked_row(n, method, x1, x2, x3, status, hard) -> tuple:
     return (n, method, x1, x2, x3, status, hard)
 
 
-def _row_from_obj(obj: dict) -> tuple:
-    return _checked_row(*(obj[key] for key in CSV_COLUMNS))
-
-
-def record_from_obj(obj: dict) -> SweepRecord:
-    return _record_of(_row_from_obj(obj))
-
-
 def _row_from_line(line: str) -> tuple:
     """The row whose _csv_line is exactly line, if solve can emit it (see
     _checked_row); else ValueError, so " 7", "+3" or "07" is rejected too."""
@@ -226,59 +218,34 @@ def _with_line(row: tuple) -> tuple[tuple, str]:
     return row, _csv_line(row)
 
 
-def _json_item(row: tuple) -> str:
-    """One element of json.dump([record_to_obj(rec), ...], fh, indent=1)
-    (no tag needs escaping)."""
-    n, method, x1, x2, x3, status, hard = row
-    if x1 is None:
-        x1 = x2 = x3 = "null"
-    method = f'"{method}"' if method is not None else "null"
-    hard = "true" if hard else "false"
-    return (f' {{\n  "n": {n},\n  "method": {method},\n  "x1": {x1},\n  "x2": {x2},\n'
-            f'  "x3": {x3},\n  "status": "{status}",\n  "hard": {hard}\n }}')
-
-
-def write_rows(pairs: Iterable[tuple[tuple, str]], format: str, fh: TextIO) -> dict[str, int]:
-    """Write the (row, line) pairs of a stream to fh as the report
-    write_report describes, one at a time: a CSV report writes each line as
-    it is, a JSON report formats each row.
+def write_rows(pairs: Iterable[tuple[tuple, str]], fh: TextIO) -> dict[str, int]:
+    """Write the line of each (row, line) pair of a stream to fh, as it is,
+    one at a time: the report write_report describes.
 
     Return the number of rows written of each status tag and, as "hard",
     of the hard ones.
     """
     counts = dict.fromkeys([*_METHODS_OF_STATUS, "hard"], 0)
-    if format == "csv":
-        for row, line in pairs:
-            counts[row[5]] += 1
-            counts["hard"] += row[6]
-            fh.write(line)
-    elif format == "json":
-        sep = "[\n"
-        for row, _ in pairs:
-            counts[row[5]] += 1
-            counts["hard"] += row[6]
-            fh.write(sep + _json_item(row))
-            sep = ",\n"
-        fh.write("[]\n" if sep == "[\n" else "\n]\n")
-    else:
-        raise ValueError(f"unknown report format: {format!r}")
+    for row, line in pairs:
+        counts[row[5]] += 1
+        counts["hard"] += row[6]
+        fh.write(line)
     return counts
 
 
-def write_report(records: Iterable[SweepRecord], format: str, fh: TextIO) -> None:
-    """Write records to fh as CSV rows n,method,x1,x2,x3,status,hard or as
-    a JSON array of objects with those field names.
+def write_report(records: Iterable[SweepRecord], fh: TextIO) -> None:
+    """Write records to fh as CSV rows n,method,x1,x2,x3,status,hard.
 
-    Absent triple fields serialize as empty (CSV) or null (JSON).  CSV has
-    no header row, so the row count equals the number of records.
+    Absent triple fields are empty cells.  There is no header row, so the
+    row count equals the number of records.
     """
-    write_rows(map(_with_line, map(_row, records)), format, fh)
+    write_rows(map(_with_line, map(_row, records)), fh)
 
 
-def emit_rows(pairs: Iterable[tuple[tuple, str]], format: str,
-              destination: str | Path) -> dict[str, int]:
-    """Stream pairs (see write_rows) to a sibling <destination>.tmp, then
-    rename it over destination; return write_rows' counts.
+def emit_rows(pairs: Iterable[tuple[tuple, str]], destination: str | Path) -> dict[str, int]:
+    """Stream the lines of pairs (see write_rows) to a sibling
+    <destination>.tmp, then rename it over destination; return write_rows'
+    counts.
 
     If anything fails before the rename, including the iterator producing
     the pairs, the temporary file is removed and destination keeps its
@@ -292,7 +259,7 @@ def emit_rows(pairs: Iterable[tuple[tuple, str]], format: str,
         raise OSError(f"cannot write report to {path}: {exc}") from exc
     try:
         with fh:
-            counts = write_rows(pairs, format, fh)
+            counts = write_rows(pairs, fh)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -300,7 +267,7 @@ def emit_rows(pairs: Iterable[tuple[tuple, str]], format: str,
     return counts
 
 
-def emit_report(records: list[SweepRecord], format: str, destination: str | Path) -> None:
+def emit_report(records: list[SweepRecord], destination: str | Path) -> None:
     """Write the report (see write_report) to the file at destination,
     replacing it atomically (see emit_rows).
 
@@ -309,14 +276,13 @@ def emit_report(records: list[SweepRecord], format: str, destination: str | Path
     """
     if any(a.n >= b.n for a, b in zip(records, records[1:])):
         raise ValueError("records must be sorted by n")
-    emit_rows(map(_with_line, map(_row, records)), format, destination)
+    emit_rows(map(_with_line, map(_row, records)), destination)
 
 
 def _report_rows(source: str | Path) -> Iterator[tuple]:
-    """The rows of a report or a checkpoint, read one at a time: a CSV line
-    starts with a digit, a JSON report (read whole) with "[".
+    """The rows of a report or a checkpoint, read one line at a time.
 
-    A row or element that is not a record solve can emit, as write_rows
+    A line that is not the row of a record solve can emit, as write_rows
     writes it (see _row_from_line), or whose n does not exceed the n
     before it, raises ValueError naming it.
     """
@@ -326,22 +292,15 @@ def _report_rows(source: str | Path) -> Iterator[tuple]:
     except OSError as exc:
         raise OSError(f"cannot read report from {path}: {exc}") from exc
     with fh:
-        first = fh.readline()
-        if first.lstrip().startswith(b"["):
-            items = json.loads((first + fh.read()).decode("utf-8"))
-            parse, kind = _row_from_obj, "element"
-        else:
-            items = map(bytes.decode, chain((first,), fh) if first else ())
-            parse, kind = _row_from_line, "row"
         last = 1  # every record has n >= 2
-        for i, item in enumerate(items, 1):
+        for i, line in enumerate(fh, 1):
             try:
-                row = parse(item)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: {kind} {i} is not a record: {exc!r}") from exc
+                row = _row_from_line(line.decode())
+            except ValueError as exc:  # UnicodeDecodeError among them
+                raise ValueError(f"{path}: row {i} is not a record: {exc!r}") from exc
             if row[0] <= last:
-                raise ValueError(f"{path}: {kind} {i} has n={row[0]}, not above"
-                                 f" n={last} of {kind} {i - 1}")
+                raise ValueError(f"{path}: row {i} has n={row[0]}, not above"
+                                 f" n={last} of row {i - 1}")
             last = row[0]
             yield row
 

@@ -149,8 +149,8 @@ def test_criterion_6_full_sweep(tmp_path):
     multi = sweep_range(SweepConfig(3, 100_000, workers=2))
     solo_report = tmp_path / "solo.csv"
     multi_report = tmp_path / "multi.csv"
-    emit_report(records, "csv", solo_report)
-    emit_report(multi, "csv", multi_report)
+    emit_report(records, solo_report)
+    emit_report(multi, multi_report)
     assert solo_report.read_bytes() == multi_report.read_bytes()
     # the reference report's bytes, which also pin method attribution
     assert hashlib.sha256(solo_report.read_bytes()).hexdigest() == REFERENCE_CSV_SHA256

@@ -106,19 +106,12 @@ class TestSweep:
         assert len(lines) == 10
         assert lines[0].startswith("3,Oracle,1,4,12")
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_stdout_matches_report_file(self, tmp_path, capsys, fmt):
-        assert cli_main(["sweep", "3", "3000", "--format", fmt]) == 0
+    def test_stdout_matches_report_file(self, tmp_path, capsys):
+        assert cli_main(["sweep", "3", "3000"]) == 0
         stdout = capsys.readouterr().out.encode()
-        report = tmp_path / f"out.{fmt}"
-        assert cli_main(["sweep", "3", "3000", "--format", fmt, "--report", str(report)]) == 0
+        report = tmp_path / "out.csv"
+        assert cli_main(["sweep", "3", "3000", "--report", str(report)]) == 0
         assert stdout == report.read_bytes()
-
-    def test_json_report(self, tmp_path):
-        report = tmp_path / "out.json"
-        assert cli_main(["sweep", "3", "12", "--format", "json", "--report", str(report)]) == 0
-        objs = json.loads(report.read_text())
-        assert [o["n"] for o in objs] == list(range(3, 13))
 
     def test_checkpoint_flag(self, tmp_path):
         ck = tmp_path / "ck.csv"
@@ -136,16 +129,13 @@ class TestSweep:
 
 @pytest.fixture(scope="module")
 def reference_3000(tmp_path_factory):
-    """emit_report(sweep_range(...)) bytes of [3, 3000] per format, and the
-    bytes of a fresh checkpoint of that range."""
+    """emit_report(sweep_range(...)) bytes of [3, 3000], and the bytes of a
+    fresh checkpoint of that range."""
     d = tmp_path_factory.mktemp("reference")
     ck = d / "ck.csv"
     records = sweep_range(SweepConfig(3, 3000, checkpoint_path=ck))
-    out = {"checkpoint": ck.read_bytes()}
-    for fmt in ("csv", "json"):
-        emit_report(records, fmt, d / f"r.{fmt}")
-        out[fmt] = (d / f"r.{fmt}").read_bytes()
-    return out
+    emit_report(records, d / "r.csv")
+    return {"checkpoint": ck.read_bytes(), "csv": (d / "r.csv").read_bytes()}
 
 
 class TestStreamedSweep:
@@ -155,19 +145,18 @@ class TestStreamedSweep:
         "resume", [False, True, "json-lines"], ids=["fresh", "resumed", "json-lines"]
     )
     @pytest.mark.parametrize("workers", ["1", "2"])
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_report_bytes(self, tmp_path, capsys, reference_3000, fmt, workers, resume):
-        ck, report = tmp_path / "ck", tmp_path / f"out.{fmt}"
+    def test_report_bytes(self, tmp_path, capsys, reference_3000, workers, resume):
+        ck, report = tmp_path / "ck", tmp_path / "out.csv"
         if resume == "json-lines":  # a checkpoint in the JSON-lines form of earlier versions
             ck.write_text("".join(json.dumps(record_to_obj(r), separators=(",", ":")) + "\n"
                                   for r in sweep_range(SweepConfig(3, 1000))))
         elif resume:  # a checkpoint cut mid-line, as a kill leaves it
             ck.write_bytes(reference_3000["checkpoint"][:70_001])
-        argv = ["sweep", "3", "3000", "--format", fmt, "--workers", workers,
+        argv = ["sweep", "3", "3000", "--workers", workers,
                 "--checkpoint", str(ck), "--report", str(report)]
         assert cli_main(argv) == 0
-        assert report.read_bytes() == reference_3000[fmt]
-        # a checkpoint holds the CSV report's bytes, whatever the report format
+        assert report.read_bytes() == reference_3000["csv"]
+        # a finished checkpoint holds the report's bytes
         assert ck.read_bytes() == reference_3000["checkpoint"] == reference_3000["csv"]
         assert "2998 records" in capsys.readouterr().out
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([ck.name, report.name])
@@ -323,6 +312,7 @@ class TestStats:
             ' "hard": false}]',
             '[{"n": 7, "method": null, "x1": null, "x2": null, "x3": null, "status": 1,'
             ' "hard": false}]',
+            '[\n {\n  "n": 3,\n  "method": "Oracle",\n',    # a JSON report of earlier versions
         ],
         ids=[
             "csv-hard-maybe", "json-no-method", "json-not-object", "json-hard-string",
@@ -330,7 +320,7 @@ class TestStats:
             "json-negative-n-null-method", "csv-wrong-sum", "csv-nds-no-method",
             "csv-space-n", "csv-plus-x1", "csv-zero-padded-n", "csv-underscore-x3",
             "csv-crlf", "csv-no-newline", "csv-blank-line", "csv-method-bogus",
-            "csv-status-bogus", "json-method-list", "json-status-int",
+            "csv-status-bogus", "json-method-list", "json-status-int", "json-indented",
         ],
     )
     def test_malformed_report_exits_two(self, tmp_path, capsys, text):
@@ -340,19 +330,23 @@ class TestStats:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and " 1 is not a record" in err
 
-    @pytest.mark.parametrize("form", ["csv-repeat", "csv-descending", "json-repeat"])
+    @pytest.mark.parametrize("form", ["csv-repeat", "csv-descending"])
     def test_unordered_report_exits_two(self, tmp_path, capsys, form):
         seven, eight = (sweep_mod._row(sweep_mod.solve(n)) for n in (7, 8))
         rows = [eight, seven] if form == "csv-descending" else [seven, seven]
         report = tmp_path / "bad"
-        if form == "json-repeat":
-            report.write_text(json.dumps([dict(zip(sweep_mod.CSV_COLUMNS, r)) for r in rows]))
-        else:
-            report.write_text("".join(map(sweep_mod._csv_line, rows)))
+        report.write_text("".join(map(sweep_mod._csv_line, rows)))
         assert cli_main(["stats", str(report)]) == 2
         err = capsys.readouterr().err
-        kind = "element" if form == "json-repeat" else "row"
-        assert err.startswith("usage error: ") and f" {kind} 2 has n=7, not above" in err
+        assert err.startswith("usage error: ") and " row 2 has n=7, not above" in err
+
+    def test_undecodable_row_exits_two(self, tmp_path, capsys):
+        report = tmp_path / "bad"
+        report.write_bytes(b"7,Mod4Is3,3,6,14,Solved,false\n\xff\n")
+        assert cli_main(["stats", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {report}: row 2 is not a record: ")
+        assert "UnicodeDecodeError('utf-8', b'\\xff\\n'" in err
 
 
 class TestUsage:
@@ -361,8 +355,9 @@ class TestUsage:
 
     @pytest.mark.parametrize(
         "argv",
-        [["sweep", "3", "10", "--k-bound", "3"], ["oracle", "4", "73", "--first"]],
-        ids=["sweep-k-bound", "oracle-first"],
+        [["sweep", "3", "10", "--k-bound", "3"], ["oracle", "4", "73", "--first"],
+         ["sweep", "3", "12", "--format", "json"], ["sweep", "3", "12", "--format", "csv"]],
+        ids=["sweep-k-bound", "oracle-first", "sweep-format-json", "sweep-format-csv"],
     )
     def test_removed_options(self, capsys, argv):
         assert cli_main(argv) == 2
@@ -375,6 +370,11 @@ class TestUsage:
     def test_k_bound_below_one(self, capsys, n):
         assert cli_main(["decompose", n, "--k-bound", "0"]) == 2
         assert capsys.readouterr().err == "usage error: --k-bound must be >= 1, got 0\n"
+
+    def test_k_bound_above_limit(self, capsys):
+        assert cli_main(["decompose", "73", "--k-bound", "1000001"]) == 2
+        assert capsys.readouterr() == (
+            "", "usage error: --k-bound must be <= 1000000, got 1000001\n")
 
     def test_no_args(self, capsys):
         assert cli_main([]) == 2

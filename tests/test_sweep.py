@@ -1,7 +1,6 @@
 import csv
 import hashlib
 import io
-import json
 import tracemalloc
 import warnings
 from collections import deque
@@ -21,7 +20,6 @@ from fourovern.sweep import (
     emit_report,
     load_report,
     method_histogram,
-    record_from_obj,
     record_to_obj,
     solve,
     sweep_range,
@@ -126,50 +124,27 @@ class TestSolve:
 class TestSerialization:
     def test_csv_row_for_seven(self, tmp_path):
         path = tmp_path / "r.csv"
-        emit_report([solve(7)], "csv", path)
+        emit_report([solve(7)], path)
         assert path.read_text() == "7,Mod4Is3,3,6,14,Solved,false\n"
 
     def test_csv_row_for_two(self, tmp_path):
         path = tmp_path / "r.csv"
-        emit_report([solve(2)], "csv", path)
+        emit_report([solve(2)], path)
         assert path.read_text() == "2,NoDistinctSolution,,,,NoDistinctSolution,false\n"
 
-    def test_round_trip_both_formats(self, tmp_path):
+    def test_round_trip(self, tmp_path):
         records = sweep_range(SweepConfig(3, 80))
-        for fmt in ("csv", "json"):
-            path = tmp_path / f"r.{fmt}"
-            emit_report(records, fmt, path)
-            assert load_report(path) == records
-
-    def test_json_nulls_for_missing_triple(self, tmp_path):
-        path = tmp_path / "r.json"
-        emit_report([solve(2)], "json", path)
-        (obj,) = json.loads(path.read_text())
-        assert obj == {
-            "n": 2,
-            "method": "NoDistinctSolution",
-            "x1": None,
-            "x2": None,
-            "x3": None,
-            "status": "NoDistinctSolution",
-            "hard": False,
-        }
-
-    def test_obj_round_trip(self):
-        rec = solve(13)
-        assert record_from_obj(record_to_obj(rec)) == rec
+        path = tmp_path / "r.csv"
+        emit_report(records, path)
+        assert load_report(path) == records
 
     def test_unsorted_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_report([solve(7), solve(5)], "csv", tmp_path / "r.csv")
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="xml"):
-            emit_report([solve(7)], "xml", tmp_path / "r.xml")
+            emit_report([solve(7), solve(5)], tmp_path / "r.csv")
 
     def test_unwritable_report_path(self, tmp_path):
         with pytest.raises(OSError):
-            emit_report([solve(7)], "csv", tmp_path / "missing" / "r.csv")
+            emit_report([solve(7)], tmp_path / "missing" / "r.csv")
 
 
 def reference_obj(rec):
@@ -186,8 +161,8 @@ def reference_csv_line(obj):
 
 
 class TestFormatters:
-    """The direct formatters against the stdlib json and csv writers, and
-    the CSV line parser against the formatter."""
+    """The direct formatter against the stdlib csv writer, and the CSV line
+    parser against the formatter."""
 
     @pytest.mark.parametrize(
         "n", sorted(FIRST_N_OF_METHOD.values()) + [2**66], ids=lambda n: f"n={n}"
@@ -203,13 +178,6 @@ class TestFormatters:
         assert sweep_mod._csv_line(row) == reference_csv_line(obj)
         assert sweep_mod._row_from_line(reference_csv_line(obj)) == row
 
-    def test_json_report_matches_json_dump(self):
-        records = [solve(n) for n in sorted(FIRST_N_OF_METHOD.values()) + [2**66]]
-        for recs in (records, records[:1], []):
-            buf = io.StringIO()
-            write_report(recs, "json", buf)
-            assert buf.getvalue() == json.dumps([reference_obj(r) for r in recs], indent=1) + "\n"
-
     @given(
         n=st.integers(2, 2**127),
         method=st.sampled_from([None] + [m.value for m in Method]),
@@ -222,7 +190,6 @@ class TestFormatters:
         obj = dict(zip(sweep_mod.CSV_COLUMNS, row))
         line = reference_csv_line(obj)
         assert sweep_mod._csv_line(row) == line
-        assert sweep_mod._json_item(row) == json.dumps([obj], indent=1)[2:-2]
         # the line parser accepts exactly the rows the record check accepts
         try:
             checked = sweep_mod._checked_row(*row)
@@ -261,16 +228,14 @@ class TestRecordChecks:
     def test_rejected(self, change):
         obj = {**self.SEVEN, **change}
         with pytest.raises(ValueError, match="not a"):
-            record_from_obj(obj)
-        with pytest.raises(ValueError, match="not a"):
             sweep_mod._row_from_line(reference_csv_line(obj))
 
     @pytest.mark.parametrize("n", [2, 3, 7, 73, 97, 2**66], ids=lambda n: f"n={n}")
     def test_solve_output_accepted(self, n):
         rec = solve(n)
-        assert record_from_obj(record_to_obj(rec)) == rec
         row = sweep_mod._row(rec)
         assert sweep_mod._row_from_line(sweep_mod._csv_line(row)) == row
+        assert sweep_mod._record_of(row) == rec
 
     def test_tampered_checkpoint_resumes_like_fresh(self, tmp_path):
         fresh_ck, ck = tmp_path / "fresh.csv", tmp_path / "ck.csv"
@@ -280,8 +245,8 @@ class TestRecordChecks:
         resumed = sweep_range(SweepConfig(3, 20, checkpoint_path=ck))
         assert ck.read_bytes() == fresh_ck.read_bytes()
         a, b = tmp_path / "fresh.csv", tmp_path / "resumed.csv"
-        emit_report(fresh, "csv", a)
-        emit_report(resumed, "csv", b)
+        emit_report(fresh, a)
+        emit_report(resumed, b)
         assert a.read_bytes() == b.read_bytes()
         assert b"7,Mod4Is3,3,6,14,Solved,false\n" in b.read_bytes()
 
@@ -308,8 +273,8 @@ class TestSweepRange:
         multi = sweep_range(SweepConfig(3, 200, workers=3))
         assert solo == multi
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_report(solo, "csv", a)
-        emit_report(multi, "csv", b)
+        emit_report(solo, a)
+        emit_report(multi, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_checkpoint_resume_matches_uninterrupted(self, tmp_path):
@@ -351,7 +316,7 @@ class TestSweepRange:
             fh.write(tail)
         for _ in range(2):
             assert sweep_range(SweepConfig(3, 3000, checkpoint_path=ck)) == fresh
-        emit_report(fresh, "csv", tmp_path / "fresh.csv")
+        emit_report(fresh, tmp_path / "fresh.csv")
         assert ck.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
     def test_resume_recomputes_from_a_gap(self, tmp_path):
@@ -447,6 +412,6 @@ class TestHardClassAttribution:
         assert len(ns) == 10_434
         records = [solve(n) for n in ns]
         buf = io.StringIO()
-        write_report(records, "csv", buf)
+        write_report(records, buf)
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == HARD_CLASS_CSV_SHA256
         assert method_histogram(records) == {"Theorem4": 5334, "Theorem3Search": 5085, "Oracle": 15}
