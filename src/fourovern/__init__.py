@@ -37,7 +37,6 @@ from .construct_th34 import (
 from .oracle import (
     OracleBudgetError,
     OracleQuery,
-    count_solutions,
     enumerate_three_term,
     first_solution,
 )
@@ -48,7 +47,6 @@ from .sweep import (
     classify_hard,
     emit_report,
     load_report,
-    method_histogram,
     record_to_obj,
     solve,
     sweep_range,
@@ -75,7 +73,6 @@ __all__ = [
     "checked_add",
     "checked_mul",
     "classify_hard",
-    "count_solutions",
     "divisors",
     "emit_report",
     "enumerate_three_term",
@@ -86,7 +83,6 @@ __all__ = [
     "lift_by_cofactor",
     "load_report",
     "make_triple",
-    "method_histogram",
     "path_3mod4",
     "path_even",
     "path_mod3_0",

@@ -13,7 +13,6 @@ import sys
 from collections import Counter
 from contextlib import closing
 from pathlib import Path
-from typing import Iterable, Iterator
 
 from .construct_th34 import DEFAULT_K_BOUND
 from .core_arith import CheckedOverflowError, is_prime
@@ -108,18 +107,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _tally(counts: dict[str, int]) -> tuple[int, int, int, int]:
     """Solved, no-distinct, error and hard counts from counts of status tags
-    and of "hard" (as _counted or write_rows makes them)."""
+    and of "hard" (as _cmd_stats or write_rows makes them)."""
     return (counts[Status.SOLVED.value], counts[Status.NO_DISTINCT_SOLUTION.value],
             counts[Status.ERROR.value], counts["hard"])
-
-
-def _counted(rows: Iterable[tuple], counts: Counter) -> Iterator[tuple]:
-    """rows, passed through while counting their status tags and, as "hard",
-    the hard ones."""
-    for row in rows:
-        counts[row[5]] += 1
-        counts["hard"] += row[6]
-        yield row
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -144,9 +134,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    counts: Counter = Counter()
-    rows = _counted(_report_rows(args.report_path), counts)
-    hist = Counter(row[1] or "(none)" for row in rows)
+    counts: Counter = Counter()  # status tags, and "hard"
+    hist: Counter = Counter()  # method tags
+    for row, _ in _report_rows(args.report_path):
+        counts[row[5]] += 1
+        counts["hard"] += row[6]
+        hist[row[1] or "(none)"] += 1
     solved, missing, errors, hard = _tally(counts)
     print(
         f"records: {solved + missing + errors}  solved: {solved}  no-distinct: {missing}"

@@ -218,8 +218,9 @@ def _factor(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-# the cache behind factorize and divisors, so each n is factored once
-_factor_pairs = lru_cache(maxsize=1 << 16)(_factor)
+# the cache behind factorize and divisors: within solve(n) every call asks
+# for the same n, so one entry factors it once and holds nothing across n
+_factor_pairs = lru_cache(maxsize=1)(_factor)
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:

@@ -155,8 +155,3 @@ def first_solution(a: int, n: int) -> UnitTriple | None:
     """
     found = enumerate_three_term(OracleQuery(a, n, distinct_only=True, limit=1))
     return found[0] if found else None
-
-
-def count_solutions(a: int, n: int, distinct_only: bool = True) -> int:
-    """Number of triples for a/n (no limit)."""
-    return len(enumerate_three_term(OracleQuery(a, n, distinct_only, None)))

@@ -12,7 +12,7 @@ the row is made; sweep_range collects it into records.  A checkpoint is
 the CSV report of a sweep's first rows, appended in n order and fsynced
 every 1000 records, so a killed sweep resumes by streaming that prefix,
 each line passed on as it was read, and solving only the rest.  The CSV
-report is the only report format; it is read back one row at a time.
+report is the only report format, and _report_rows its one reader.
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ from __future__ import annotations
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import Generator, Iterable, Iterator, TextIO
@@ -37,6 +39,9 @@ CSV_COLUMNS = ("n", "method", "x1", "x2", "x3", "status", "hard")
 _FSYNC_EVERY = 1000
 _BLOCK_SIZE = 128
 _IN_FLIGHT = 4
+# the most bytes read as one line: far above any line _csv_line writes for
+# solve (n has at most 4300 digits, the int-to-str limit; parts are < 2**127)
+_MAX_LINE = 1 << 16
 
 
 class Status(Enum):
@@ -220,7 +225,8 @@ def _with_line(row: tuple) -> tuple[tuple, str]:
 
 def write_rows(pairs: Iterable[tuple[tuple, str]], fh: TextIO) -> dict[str, int]:
     """Write the line of each (row, line) pair of a stream to fh, as it is,
-    one at a time: the report write_report describes.
+    one at a time: the CSV report, one row n,method,x1,x2,x3,status,hard
+    per record, absent triple fields as empty cells and no header row.
 
     Return the number of rows written of each status tag and, as "hard",
     of the hard ones.
@@ -231,15 +237,6 @@ def write_rows(pairs: Iterable[tuple[tuple, str]], fh: TextIO) -> dict[str, int]
         counts["hard"] += row[6]
         fh.write(line)
     return counts
-
-
-def write_report(records: Iterable[SweepRecord], fh: TextIO) -> None:
-    """Write records to fh as CSV rows n,method,x1,x2,x3,status,hard.
-
-    Absent triple fields are empty cells.  There is no header row, so the
-    row count equals the number of records.
-    """
-    write_rows(map(_with_line, map(_row, records)), fh)
 
 
 def emit_rows(pairs: Iterable[tuple[tuple, str]], destination: str | Path) -> dict[str, int]:
@@ -268,7 +265,7 @@ def emit_rows(pairs: Iterable[tuple[tuple, str]], destination: str | Path) -> di
 
 
 def emit_report(records: list[SweepRecord], destination: str | Path) -> None:
-    """Write the report (see write_report) to the file at destination,
+    """Write the report of records (see write_rows) to the file at destination,
     replacing it atomically (see emit_rows).
 
     Records must be sorted by n; otherwise ValueError is raised before the
@@ -279,35 +276,38 @@ def emit_report(records: list[SweepRecord], destination: str | Path) -> None:
     emit_rows(map(_with_line, map(_row, records)), destination)
 
 
-def _report_rows(source: str | Path) -> Iterator[tuple]:
-    """The rows of a report or a checkpoint, read one line at a time.
+def _report_rows(source: str | Path) -> Iterator[tuple[tuple, str]]:
+    """The (row, line) pairs of a report or a checkpoint, read one line of
+    at most _MAX_LINE bytes at a time: a stream like sweep_rows'.
 
     A line that is not the row of a record solve can emit, as write_rows
     writes it (see _row_from_line), or whose n does not exceed the n
-    before it, raises ValueError naming it.
+    before it, raises ValueError naming it.  A file that cannot be opened
+    raises the OSError of the same class, naming the path.
     """
     path = Path(source)
     try:
         fh = open(path, "rb")  # newlines untranslated
     except OSError as exc:
-        raise OSError(f"cannot read report from {path}: {exc}") from exc
+        raise type(exc)(f"cannot read report from {path}: {exc}") from exc
     with fh:
         last = 1  # every record has n >= 2
-        for i, line in enumerate(fh, 1):
+        for i, line in enumerate(iter(partial(fh.readline, _MAX_LINE), b""), 1):
             try:
-                row = _row_from_line(line.decode())
+                text = line.decode()
+                row = _row_from_line(text)
             except ValueError as exc:  # UnicodeDecodeError among them
                 raise ValueError(f"{path}: row {i} is not a record: {exc!r}") from exc
             if row[0] <= last:
                 raise ValueError(f"{path}: row {i} has n={row[0]}, not above"
                                  f" n={last} of row {i - 1}")
             last = row[0]
-            yield row
+            yield row, text
 
 
 def load_report(source: str | Path) -> list[SweepRecord]:
-    """Read a report or a checkpoint back (see _report_rows)."""
-    return [_record_of(row) for row in _report_rows(source)]
+    """Read a report or a checkpoint back as records (see _report_rows)."""
+    return [_record_of(row) for row, _ in _report_rows(source)]
 
 
 # ---------------------------------------------------------------------------
@@ -346,33 +346,27 @@ def _resumed_rows(path: str | Path, start: int, end: int) -> Generator[tuple, No
     n <= end, each line as it was read; return the first n left to solve
     and the run's length in bytes.
 
-    The run is the checkpoint's lines for start, start + 1, ... in order.
-    It ends before the first line that is not the next n's report row (see
-    _row_from_line): a torn tail, an edited line, a gap or a repeat.  A
-    missing file is an empty run; a file whose first line is the row of
-    another n is a ValueError.
+    The run is the checkpoint's rows for start, start + 1, ... in order,
+    as _report_rows reads them.  It ends before the first line that is
+    not the next n's report row: a torn tail, an edited line, a gap or a
+    repeat.  A missing file is an empty run; a file whose first line is
+    the row of another n is a ValueError.
     """
-    n = start
-    intact = 0
-    try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
-        return n, intact
-    with fh:
-        for line in fh:
+    n, intact = start, 0
+    with closing(_report_rows(path)) as pairs:
+        while True:
             try:
-                text = line.decode()
-                row = _row_from_line(text)
-            except ValueError:
-                break
+                row, line = next(pairs)
+            except (StopIteration, FileNotFoundError, ValueError):
+                break  # the file's end, no file, or a line that is not a record
             if row[0] != n:
                 if n == start:
                     raise ValueError(f"checkpoint {path} starts at n={row[0]}, not at {start}")
                 break
             if n <= end:
-                yield row, text
+                yield row, line
             n += 1
-            intact += len(line)
+            intact += len(line)  # every line _row_from_line accepts is ASCII
     return n, intact
 
 
@@ -416,12 +410,3 @@ def sweep_range(config: SweepConfig) -> list[SweepRecord]:
     """One record per n in [start, end], ordered by n: the rows of
     sweep_rows(config) as SweepRecords, whose detail is None."""
     return [_record_of(row) for row, _ in sweep_rows(config)]
-
-
-def method_histogram(records: Iterable[SweepRecord]) -> dict[str, int]:
-    """Method tag -> count, for reporting."""
-    hist: dict[str, int] = {}
-    for rec in records:
-        tag = rec.method.value if rec.method is not None else "(none)"
-        hist[tag] = hist.get(tag, 0) + 1
-    return hist

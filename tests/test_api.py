@@ -14,10 +14,9 @@ PUBLIC = {
     "INT128_MAX", "INT128_MIN", "CheckedOverflowError", "ConstructionError",
     "DEFAULT_K_BOUND", "Fraction", "Method", "OracleBudgetError", "OracleQuery",
     "Status", "SweepConfig", "SweepRecord", "Th3Params", "TwoTermSolution",
-    "UnitTriple", "checked_add", "checked_mul", "classify_hard", "count_solutions",
-    "divisors", "emit_report", "enumerate_three_term", "enumerate_two_term",
+    "UnitTriple", "checked_add", "checked_mul", "classify_hard", "divisors", "emit_report", "enumerate_three_term", "enumerate_two_term",
     "factorize", "first_solution", "is_prime", "lift_by_cofactor", "load_report",
-    "make_triple", "method_histogram", "path_3mod4", "path_even", "path_mod3_0",
+    "make_triple", "path_3mod4", "path_even", "path_mod3_0",
     "path_mod3_2", "path_prime_13mod24", "record_to_obj",
     "solve", "solve_two_term", "sweep_range", "theorem2_dispatch",
     "theorem3_search", "theorem4_search", "unit_sum",
@@ -31,7 +30,7 @@ def library_example(doc):
 
 
 def test_all_is_the_public_set():
-    assert len(fourovern.__all__) == len(PUBLIC) == 43
+    assert len(fourovern.__all__) == len(PUBLIC) == 41
     assert set(fourovern.__all__) == PUBLIC
     for name in fourovern.__all__:
         assert hasattr(fourovern, name), name

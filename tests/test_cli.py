@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -183,12 +184,15 @@ class TestStreamedSweep:
         assert report.read_bytes() == ck.read_bytes() == reference_3000["csv"]
         assert "2998 records" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("cells", [("Bogus", None), (None, "Bogus"), (None, "solved")],
-                             ids=["method-Bogus", "status-Bogus", "status-solved"])
+    @pytest.mark.parametrize(
+        "cells", [("Bogus", None), (None, "Bogus"), (None, "solved"), ("\xff", None)],
+        ids=["method-Bogus", "status-Bogus", "status-solved", "method-byte-ff"],
+    )
     def test_bad_tag_cuts_checkpoint(self, tmp_path, capsys, reference_3000, cells):
         # line 1500 (n = 1502) is a record solve can emit but for one tag: a
-        # Solved row with another method, or an Error row with another status;
-        # the resume cuts it and everything after it, like a torn tail
+        # Solved row with another method (or a byte that is not UTF-8), or an
+        # Error row with another status; the resume cuts it and everything
+        # after it, like a torn tail
         method, status = cells
         lines = reference_3000["checkpoint"].decode().splitlines(keepends=True)
         n, _, x1, x2, x3, _, hard = lines[1499].split(",")
@@ -198,7 +202,7 @@ class TestStreamedSweep:
         else:
             lines[1499] = ",".join([n, "", "", "", "", status, hard])
         ck, report = tmp_path / "ck", tmp_path / "out.csv"
-        ck.write_text("".join(lines))
+        ck.write_bytes("".join(lines).encode("latin-1"))  # "\xff" as the one byte 0xff
         argv = ["sweep", "3", "3000", "--checkpoint", str(ck), "--report", str(report)]
         assert cli_main(argv) == 0
         assert report.read_bytes() == reference_3000["csv"]
@@ -339,6 +343,20 @@ class TestStats:
         assert cli_main(["stats", str(report)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and " row 2 has n=7, not above" in err
+
+    def test_newline_free_file_exits_two(self, tmp_path, capsys):
+        # read a bounded line at a time: the first one is not a record
+        report = tmp_path / "bad"
+        report.write_bytes(b"7" * (5 << 20))
+        tracemalloc.start()
+        try:
+            code = cli_main(["stats", str(report)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"usage error: {report}: row 1 is not a record")
+        assert peak < 1_000_000
 
     def test_undecodable_row_exits_two(self, tmp_path, capsys):
         report = tmp_path / "bad"

@@ -3,13 +3,14 @@ import hashlib
 import io
 import tracemalloc
 import warnings
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction as PyFraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fourovern.core_arith as core_arith
 import fourovern.sweep as sweep_mod
 
 from fourovern.sweep import (
@@ -19,11 +20,9 @@ from fourovern.sweep import (
     classify_hard,
     emit_report,
     load_report,
-    method_histogram,
     record_to_obj,
     solve,
     sweep_range,
-    write_report,
 )
 from fourovern.triples import Method
 
@@ -119,6 +118,15 @@ class TestSolve:
     def test_below_two_rejected(self):
         with pytest.raises(ValueError):
             solve(1)
+
+    def test_factor_cache_holds_one_n(self):
+        # every factorize and divisors call within solve(n) asks for n itself,
+        # so the one cached entry serves the repeats and nothing is kept across n
+        core_arith._factor_pairs.cache_clear()
+        for n in range(3, 20_001):
+            solve(n)
+        info = core_arith._factor_pairs.cache_info()
+        assert info.currsize <= 1 and info.hits > 0
 
 
 class TestSerialization:
@@ -348,6 +356,22 @@ class TestSweepRange:
         assert row[0] == 30000 and line.startswith("30000,")
         assert peak < 1_000_000
 
+    def test_resume_cuts_newline_free_tail(self, tmp_path):
+        # a tail of megabytes with no newline is read a bounded line at a
+        # time, found not to be a record, and cut
+        fresh_ck, ck = tmp_path / "fresh.csv", tmp_path / "ck.csv"
+        deque(sweep_mod.sweep_rows(SweepConfig(3, 3000, checkpoint_path=fresh_ck)), maxlen=0)
+        prefix = b"".join(fresh_ck.read_bytes().splitlines(keepends=True)[:1000])
+        ck.write_bytes(prefix + b"7" * (5 << 20))
+        tracemalloc.start()
+        try:
+            deque(sweep_mod.sweep_rows(SweepConfig(3, 3000, checkpoint_path=ck)), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ck.read_bytes() == fresh_ck.read_bytes()
+        assert peak < 1_000_000
+
     def test_checkpoint_skips_recomputation(self, tmp_path, monkeypatch):
         ck = tmp_path / "sweep.csv"
         sweep_range(SweepConfig(3, 50, checkpoint_path=ck))
@@ -372,7 +396,7 @@ class TestSweepRange:
 
     def test_method_histogram(self):
         records = sweep_range(SweepConfig(3, 100))
-        hist = method_histogram(records)
+        hist = Counter(r.method.value for r in records)
         assert sum(hist.values()) == 98
         assert hist["Even"] == 49
 
@@ -407,11 +431,12 @@ def hard_class(limit):
 
 
 class TestHardClassAttribution:
-    def test_records_and_methods_pinned(self):
+    def test_records_and_methods_pinned(self, tmp_path):
         ns = hard_class(10**6)
         assert len(ns) == 10_434
         records = [solve(n) for n in ns]
-        buf = io.StringIO()
-        write_report(records, buf)
-        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == HARD_CLASS_CSV_SHA256
-        assert method_histogram(records) == {"Theorem4": 5334, "Theorem3Search": 5085, "Oracle": 15}
+        report = tmp_path / "hard.csv"
+        emit_report(records, report)
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == HARD_CLASS_CSV_SHA256
+        hist = Counter(r.method.value for r in records)
+        assert hist == {"Theorem4": 5334, "Theorem3Search": 5085, "Oracle": 15}
