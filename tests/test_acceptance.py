@@ -12,7 +12,7 @@ from fractions import Fraction as PyFraction
 from fourovern.construct_th2 import path_3mod4, path_prime_13mod24, theorem2_dispatch
 from fourovern.construct_th34 import theorem3_search, theorem4_search
 from fourovern.core_arith import Fraction, factorize, unit_sum
-from fourovern.oracle import OracleQuery, enumerate_three_term, first_solution
+from fourovern.oracle import enumerate_three_term, first_solution
 from fourovern.sweep import SweepConfig, Status, classify_hard, emit_report, solve, sweep_range
 from fourovern.triples import Method
 from fourovern.two_term import enumerate_two_term, solve_two_term
@@ -110,9 +110,9 @@ def test_criterion_5_oracle_cross_validation():
     t0 = time.perf_counter()
     for n in range(2, 501):
         naive = set(enumerate_three_term_naive(4, n, False))
-        mine = {t.values for t in enumerate_three_term(OracleQuery(4, n, False))}
+        mine = {t.values for t in enumerate_three_term(4, n, distinct_only=False)}
         assert mine == naive, n
-        distinct = {t.values for t in enumerate_three_term(OracleQuery(4, n, True))}
+        distinct = {t.values for t in enumerate_three_term(4, n, distinct_only=True)}
         assert distinct == {t for t in naive if len(set(t)) == 3}, n
 
         # every constructor output is a member of the enumeration
@@ -173,7 +173,7 @@ def test_criterion_7_non_existence_at_two():
     rec = solve(2)
     assert rec.status is Status.NO_DISTINCT_SOLUTION
     assert first_solution(4, 2) is None  # exhaustive window scan
-    repeats = enumerate_three_term(OracleQuery(4, 2, distinct_only=False))
+    repeats = enumerate_three_term(4, 2, distinct_only=False)
     assert [t.values for t in repeats] == [(1, 2, 2)]
     exact((1, 2, 2), 4, 2)
 

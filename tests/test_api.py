@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC = {
     "INT128_MAX", "INT128_MIN", "CheckedOverflowError", "ConstructionError",
-    "DEFAULT_K_BOUND", "Fraction", "Method", "OracleBudgetError", "OracleQuery",
+    "DEFAULT_K_BOUND", "Fraction", "Method", "OracleBudgetError",
     "Status", "SweepConfig", "SweepRecord", "Th3Params", "TwoTermSolution",
     "UnitTriple", "checked_add", "checked_mul", "classify_hard", "divisors", "emit_report", "enumerate_three_term", "enumerate_two_term",
     "factorize", "first_solution", "is_prime", "lift_by_cofactor", "load_report",
@@ -30,7 +30,7 @@ def library_example(doc):
 
 
 def test_all_is_the_public_set():
-    assert len(fourovern.__all__) == len(PUBLIC) == 41
+    assert len(fourovern.__all__) == len(PUBLIC) == 40
     assert set(fourovern.__all__) == PUBLIC
     for name in fourovern.__all__:
         assert hasattr(fourovern, name), name

@@ -87,6 +87,24 @@ class TestOracle:
         assert cli_main(["oracle", "4", "2", "--count"]) == 0
         assert capsys.readouterr().out.strip() == "0"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "4", "73", "--all"],
+            ["oracle", "4", "73", "--count"],
+            ["decompose", "10000849", "--k-bound", "1"],
+        ],
+        ids=["all", "count", "decompose"],
+    )
+    def test_exhausted_budget_exits_three(self, capsys, monkeypatch, argv):
+        # each query spends more than 1,000 units: 1,295 for 4/73, and
+        # 2,967 for the oracle fall-through of 10000849 at --k-bound 1
+        monkeypatch.setattr(fourovern.oracle, "ORACLE_BUDGET", 1000)
+        assert cli_main(argv) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert "oracle budget of 1000 work units exhausted on 4/" in err
+
     def test_all_with_limit(self, capsys):
         assert cli_main(["oracle", "4", "24", "--all", "--limit", "3"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
@@ -126,6 +144,10 @@ class TestSweep:
         bad = tmp_path / "missing" / "out.csv"
         assert cli_main(["sweep", "3", "10", "--report", str(bad)]) == 3
         assert "io error" in capsys.readouterr().err
+        # a checkpoint that cannot be read is named, and not called a report
+        assert cli_main(["sweep", "3", "10", "--checkpoint", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"io error: cannot read {tmp_path}: ")
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as PyFraction
 from math import gcd
 
@@ -5,15 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourovern import core_arith
-from fourovern.oracle import (
-    OracleBudgetError,
-    OracleQuery,
-    enumerate_three_term,
-    first_solution,
-)
+from fourovern import core_arith, oracle
+from fourovern.oracle import OracleBudgetError, enumerate_three_term, first_solution
 from fourovern.construct_th2 import theorem2_dispatch
-from fourovern.sweep import solve
+from fourovern.sweep import Status, solve
 from fourovern.triples import Method
 
 from naive import enumerate_three_term_naive
@@ -25,53 +21,79 @@ def tuples(triples):
 
 class TestEnumerate:
     def test_hard_prime_first(self):
-        got = enumerate_three_term(OracleQuery(4, 73, True, limit=1))
+        got = enumerate_three_term(4, 73, distinct_only=True, limit=1)
         assert tuples(got) == [(20, 210, 30660)]
 
     def test_two_has_no_distinct(self):
-        assert enumerate_three_term(OracleQuery(4, 2, True)) == []
+        assert enumerate_three_term(4, 2, distinct_only=True) == []
 
     def test_two_with_repeats(self):
-        got = enumerate_three_term(OracleQuery(4, 2, False))
+        got = enumerate_three_term(4, 2, distinct_only=False)
         assert tuples(got) == [(1, 2, 2)]
 
     def test_above_three_is_empty(self):
-        assert enumerate_three_term(OracleQuery(4, 1, False)) == []
-        assert enumerate_three_term(OracleQuery(7, 2, False)) == []
+        assert enumerate_three_term(4, 1, distinct_only=False) == []
+        assert enumerate_three_term(7, 2, distinct_only=False) == []
 
     def test_eleven_sixths_boundary(self):
-        got = enumerate_three_term(OracleQuery(11, 6, True))
+        got = enumerate_three_term(11, 6, distinct_only=True)
         assert tuples(got) == [(1, 2, 3)]
 
     def test_limit_truncates(self):
-        everything = enumerate_three_term(OracleQuery(4, 24, True))
-        limited = enumerate_three_term(OracleQuery(4, 24, True, limit=5))
+        everything = enumerate_three_term(4, 24, distinct_only=True)
+        limited = enumerate_three_term(4, 24, distinct_only=True, limit=5)
         assert limited == everything[:5]
         assert len(everything) == 45
 
     def test_lexicographic_order(self):
-        got = tuples(enumerate_three_term(OracleQuery(4, 35, True)))
+        got = tuples(enumerate_three_term(4, 35, distinct_only=True))
         assert got == sorted(got)
 
     def test_all_triples_exact(self):
         for n in (3, 7, 24, 35, 73):
-            for t in enumerate_three_term(OracleQuery(4, n, True)):
+            for t in enumerate_three_term(4, n, distinct_only=True):
                 assert sum(PyFraction(1, x) for x in t.values) == PyFraction(4, n)
                 assert t.method is Method.ORACLE
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
-            OracleQuery(0, 5)
+            enumerate_three_term(0, 5)
         with pytest.raises(ValueError):
-            OracleQuery(4, 5, True, limit=0)
+            enumerate_three_term(4, 5, distinct_only=True, limit=0)
 
-    def test_budget_error(self):
-        with pytest.raises(OracleBudgetError):
-            enumerate_three_term(OracleQuery(4, 73, True), budget=2)
+    def test_budget_error(self, monkeypatch):
+        monkeypatch.setattr(oracle, "ORACLE_BUDGET", 2)
+        with pytest.raises(OracleBudgetError, match="budget of 2 .* on 4/73"):
+            enumerate_three_term(4, 73, distinct_only=True)
 
-    def test_generous_budget_succeeds(self):
-        got = enumerate_three_term(OracleQuery(4, 73, True, limit=1), budget=10**6)
+    def test_generous_budget_succeeds(self, monkeypatch):
+        monkeypatch.setattr(oracle, "ORACLE_BUDGET", 10**6)
+        got = enumerate_three_term(4, 73, distinct_only=True, limit=1)
         assert tuples(got) == [(20, 210, 30660)]
+
+    def test_divisors_are_spent_before_they_are_built(self, monkeypatch):
+        # q = (2*3*5)**30 has 61**3 = 226,981 square divisors, about 10 MB
+        # as a list; a budget below that count raises before building it
+        monkeypatch.setattr(oracle, "ORACLE_BUDGET", 1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleBudgetError):
+                oracle._divisors_of_square({2: 30, 3: 30, 5: 30}, 1, oracle._Budget(1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_exhausted_budget_is_an_error_record(self, monkeypatch):
+        # solve(10000849, k_bound=1) falls through to the oracle, which
+        # spends 2,967 units finding its triple
+        monkeypatch.setattr(oracle, "ORACLE_BUDGET", 2966)
+        rec = solve(10000849, k_bound=1)
+        assert rec.status is Status.ERROR and rec.hard
+        assert rec.method is None and rec.x1 is None
+        assert "budget of 2966" in rec.detail and "4/10000849" in rec.detail
+        monkeypatch.setattr(oracle, "ORACLE_BUDGET", 2967)
+        assert solve(10000849, k_bound=1).method is Method.ORACLE
 
     def test_large_query_leaves_the_sieve_alone(self):
         # the oracle factors n and each x by its own trial division, so a
@@ -94,30 +116,30 @@ class TestFirstAndCount:
         assert first_solution(4, 2) is None
 
     def test_counts(self):
-        assert len(enumerate_three_term(OracleQuery(4, 2, True))) == 0
-        assert len(enumerate_three_term(OracleQuery(4, 2, False))) == 1
-        assert len(enumerate_three_term(OracleQuery(3, 7, True))) == len(
+        assert len(enumerate_three_term(4, 2, distinct_only=True)) == 0
+        assert len(enumerate_three_term(4, 2, distinct_only=False)) == 1
+        assert len(enumerate_three_term(3, 7, distinct_only=True)) == len(
             enumerate_three_term_naive(3, 7, True))
 
     def test_membership_of_construction(self):
-        found = tuples(enumerate_three_term(OracleQuery(4, 7, True)))
+        found = tuples(enumerate_three_term(4, 7, distinct_only=True))
         assert (3, 6, 14) in found
-        assert len(enumerate_three_term(OracleQuery(4, 7, True))) >= 1
+        assert len(enumerate_three_term(4, 7, distinct_only=True)) >= 1
 
 
 class TestCrossCheck:
     def test_divisor_pair_equals_naive_to_300(self):
         for n in range(2, 301):
-            with_repeats = set(tuples(enumerate_three_term(OracleQuery(4, n, False))))
+            with_repeats = set(tuples(enumerate_three_term(4, n, distinct_only=False)))
             naive = set(enumerate_three_term_naive(4, n, False))
             assert with_repeats == naive, n
-            distinct = set(tuples(enumerate_three_term(OracleQuery(4, n, True))))
+            distinct = set(tuples(enumerate_three_term(4, n, distinct_only=True)))
             assert distinct == {t for t in naive if len(set(t)) == 3}, n
 
     @given(st.integers(1, 8), st.integers(1, 60), st.booleans())
     @settings(deadline=None, max_examples=120)
     def test_random_targets_agree(self, a, n, distinct):
-        mine = set(tuples(enumerate_three_term(OracleQuery(a, n, distinct))))
+        mine = set(tuples(enumerate_three_term(a, n, distinct_only=distinct)))
         naive = set(enumerate_three_term_naive(a, n, distinct))
         assert mine == naive
 
