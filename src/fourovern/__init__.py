@@ -40,13 +40,11 @@ from .oracle import (
     first_solution,
 )
 from .sweep import (
-    SweepConfig,
     SweepRecord,
     Status,
     classify_hard,
     emit_report,
     load_report,
-    record_to_obj,
     solve,
     sweep_range,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "Method",
     "OracleBudgetError",
     "Status",
-    "SweepConfig",
     "SweepRecord",
     "Th3Params",
     "TwoTermSolution",
@@ -86,7 +83,6 @@ __all__ = [
     "path_mod3_0",
     "path_mod3_2",
     "path_prime_13mod24",
-    "record_to_obj",
     "solve",
     "solve_two_term",
     "sweep_range",

@@ -3,7 +3,9 @@
 Subcommands: decompose, two-term, oracle, sweep, stats.  Exit codes:
 0 success, 1 proven non-existence (decompose), 2 usage error, 3 I/O,
 overflow or oracle-budget error.  Every oracle query, and so every
-decompose, is bounded by oracle.ORACLE_BUDGET.
+decompose, is bounded by oracle.ORACLE_BUDGET.  A decompose that ends in
+an error prints one "error: ..." line to stderr, with --json too.  sweep
+starts at most os.cpu_count() worker processes, whatever --workers asks.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from .construct_th34 import DEFAULT_K_BOUND
 from .core_arith import CheckedOverflowError, is_prime
 from .oracle import OracleBudgetError, enumerate_three_term
 from .sweep import (
-    SweepConfig,
+    CSV_COLUMNS,
     Status,
     _report_rows,
+    _row,
     emit_rows,
-    record_to_obj,
     solve,
     sweep_rows,
     write_rows,
@@ -40,16 +42,12 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.k_bound > _MAX_K_BOUND:
         raise ValueError(f"--k-bound must be <= {_MAX_K_BOUND}, got {args.k_bound}")
     rec = solve(args.n, args.k_bound)
-    if args.json:
-        print(json.dumps(record_to_obj(rec)))
-        if rec.status is Status.SOLVED:
-            return 0
-        return 1 if rec.status is Status.NO_DISTINCT_SOLUTION else 3
-    if rec.status is Status.SOLVED:
+    if args.json:  # the record's report cells, null for an empty one
+        print(json.dumps(dict(zip(CSV_COLUMNS, _row(rec)))))
+    elif rec.status is Status.SOLVED:
         print(f"4/{rec.n} = 1/{rec.x1} + 1/{rec.x2} + 1/{rec.x3}")
         print(f"method: {rec.method.value}   hard: {'true' if rec.hard else 'false'}")
-        return 0
-    if rec.status is Status.NO_DISTINCT_SOLUTION:
+    elif rec.status is Status.NO_DISTINCT_SOLUTION:
         print(
             f"4/{args.n} has no decomposition into three distinct unit fractions:"
             " the finite window on the smallest part was scanned exhaustively,"
@@ -59,9 +57,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         if repeats:
             t = repeats[0]
             print(f"with repeats allowed: 4/{args.n} = 1/{t.x1} + 1/{t.x2} + 1/{t.x3}")
-        return 1
-    print(f"error: {rec.detail}", file=sys.stderr)
-    return 3
+    if rec.status is Status.ERROR:
+        print(f"error: {rec.detail}", file=sys.stderr)
+        return 3
+    return 0 if rec.status is Status.SOLVED else 1
 
 
 def _cmd_two_term(args: argparse.Namespace) -> int:
@@ -112,14 +111,9 @@ def _tally(counts: dict[str, int]) -> tuple[int, int, int, int]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = SweepConfig(
-        start=args.start,
-        end=args.end,
-        workers=args.workers,
-        checkpoint_path=args.checkpoint,
-    )
+    pairs = sweep_rows(args.start, args.end, args.workers, args.checkpoint)
     # closing: a report write that fails still stops the pool and closes the checkpoint
-    with closing(sweep_rows(config)) as pairs:
+    with closing(pairs):
         if not args.report:
             write_rows(pairs, sys.stdout)
             return 0

@@ -6,13 +6,15 @@ witness search, then the exhaustive oracle.  n = 2 genuinely has no
 decomposition into three distinct unit fractions and is reported as such,
 not as an error.
 
-sweep_rows streams one row per n, ordered by n and byte-identical
-regardless of worker count, each with its CSV line, formatted once where
-the row is made; sweep_range collects it into records.  A checkpoint is
-the CSV report of a sweep's first rows, appended in n order and fsynced
-every 1000 records, so a killed sweep resumes by streaming that prefix,
-each line passed on as it was read, and solving only the rest.  The CSV
-report is the only report format, and _report_rows its one reader.
+sweep_rows(start, end, workers, checkpoint) streams one row per n, ordered
+by n and byte-identical regardless of worker count, each with its CSV line,
+formatted once where the row is made; sweep_range collects it into records.
+Both check their arguments at the call, and neither starts more worker
+processes than os.cpu_count().  A checkpoint is the CSV report of a
+sweep's first rows, appended in n order and fsynced every 1000 records, so
+a killed sweep resumes by streaming that prefix, each line passed on as it
+was read, and solving only the rest.  The CSV report is the only report
+format, and _report_rows its one reader.
 """
 
 from __future__ import annotations
@@ -66,22 +68,6 @@ class SweepRecord:
     status: Status
     hard: bool
     detail: str | None = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Sweep [start, end]; every n is solved with solve's default k_bound."""
-
-    start: int
-    end: int
-    workers: int = 1
-    checkpoint_path: str | Path | None = None
-
-    def __post_init__(self) -> None:
-        if self.start < 2 or self.end < self.start:
-            raise ValueError(f"need 2 <= start <= end, got [{self.start}, {self.end}]")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 def classify_hard(n: int) -> bool:
@@ -156,10 +142,6 @@ def _record_of(row: tuple) -> SweepRecord:
     n, method, x1, x2, x3, status, hard = row
     method = Method(method) if method is not None else None
     return SweepRecord(n, method, x1, x2, x3, Status(status), hard)
-
-
-def record_to_obj(rec: SweepRecord) -> dict:
-    return dict(zip(CSV_COLUMNS, _row(rec)))
 
 
 _SOLVED = Status.SOLVED.value
@@ -370,29 +352,41 @@ def _resumed_rows(path: str | Path, start: int, end: int) -> Generator[tuple, No
     return n, intact
 
 
-def sweep_rows(config: SweepConfig) -> Iterator[tuple[tuple, str]]:
+def sweep_rows(start: int, end: int, workers: int = 1,
+               checkpoint: str | Path | None = None) -> Iterator[tuple[tuple, str]]:
     """One (row, line) pair per n in [start, end], in n order, produced as
-    it is needed; line is the row's CSV line, made once per row.
+    it is needed; line is the row's CSV line, made once per row.  Every n
+    is solved with solve's default k_bound.
 
-    Deterministic for any worker count.  With a checkpoint path, the pairs
-    of the checkpoint's run (see _resumed_rows) are streamed from it, the
-    file is cut after that run, and each new row's line is appended to it
-    before the pair is yielded, fsynced every _FSYNC_EVERY rows; an
-    unwritable checkpoint fails before any row is solved.  Memory does not
-    grow with the range.
+    Deterministic for any worker count, so at most os.cpu_count() worker
+    processes are started.  With a checkpoint path, the pairs of the
+    checkpoint's run (see _resumed_rows) are streamed from it, the file is
+    cut after that run, and each new row's line is appended to it before
+    the pair is yielded, fsynced every _FSYNC_EVERY rows; an unwritable
+    checkpoint fails before any row is solved.  A bad range or worker
+    count raises ValueError here, before any file is opened.  Memory does
+    not grow with the range.
     """
-    path = config.checkpoint_path
+    if start < 2 or end < start:
+        raise ValueError(f"need 2 <= start <= end, got [{start}, {end}]")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return _swept_rows(start, end, min(workers, os.cpu_count() or 1), checkpoint)
+
+
+def _swept_rows(start: int, end: int, workers: int,
+                path: str | Path | None) -> Iterator[tuple[tuple, str]]:
     if path is None:
-        yield from _solve_stream(iter(range(config.start, config.end + 1)), config.workers)
+        yield from _solve_stream(iter(range(start, end + 1)), workers)
         return
-    first, intact = yield from _resumed_rows(path, config.start, config.end)
+    first, intact = yield from _resumed_rows(path, start, end)
     try:
         fh = open(path, "a", encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot open checkpoint {path}: {exc}") from exc
     with fh:
         fh.truncate(intact)
-        solved = _solve_stream(iter(range(first, config.end + 1)), config.workers)
+        solved = _solve_stream(iter(range(first, end + 1)), workers)
         try:
             for written, pair in enumerate(solved, 1):
                 fh.write(pair[1])
@@ -406,7 +400,9 @@ def sweep_rows(config: SweepConfig) -> Iterator[tuple[tuple, str]]:
             os.fsync(fh.fileno())
 
 
-def sweep_range(config: SweepConfig) -> list[SweepRecord]:
+def sweep_range(start: int, end: int, workers: int = 1,
+                checkpoint: str | Path | None = None) -> list[SweepRecord]:
     """One record per n in [start, end], ordered by n: the rows of
-    sweep_rows(config) as SweepRecords, whose detail is None."""
-    return [_record_of(row) for row, _ in sweep_rows(config)]
+    sweep_rows(start, end, workers, checkpoint) as SweepRecords, whose
+    detail is None."""
+    return [_record_of(row) for row, _ in sweep_rows(start, end, workers, checkpoint)]

@@ -13,7 +13,7 @@ from fourovern.construct_th2 import path_3mod4, path_prime_13mod24, theorem2_dis
 from fourovern.construct_th34 import theorem3_search, theorem4_search
 from fourovern.core_arith import Fraction, factorize, unit_sum
 from fourovern.oracle import enumerate_three_term, first_solution
-from fourovern.sweep import SweepConfig, Status, classify_hard, emit_report, solve, sweep_range
+from fourovern.sweep import Status, classify_hard, emit_report, solve, sweep_range
 from fourovern.triples import Method
 from fourovern.two_term import enumerate_two_term, solve_two_term
 
@@ -137,7 +137,7 @@ def test_criterion_5_oracle_cross_validation():
 
 def test_criterion_6_full_sweep(tmp_path):
     t0 = time.perf_counter()
-    records = sweep_range(SweepConfig(3, 100_000, workers=1))
+    records = sweep_range(3, 100_000, workers=1)
     sweep_elapsed = time.perf_counter() - t0
 
     assert len(records) == 99_998
@@ -146,7 +146,7 @@ def test_criterion_6_full_sweep(tmp_path):
     assert not any(r.status is Status.NO_DISTINCT_SOLUTION for r in records)
 
     # byte-identical reports for 1 vs N workers over the full range
-    multi = sweep_range(SweepConfig(3, 100_000, workers=2))
+    multi = sweep_range(3, 100_000, workers=2)
     solo_report = tmp_path / "solo.csv"
     multi_report = tmp_path / "multi.csv"
     emit_report(records, solo_report)
@@ -157,11 +157,11 @@ def test_criterion_6_full_sweep(tmp_path):
 
     # a resumed interrupted run matches an uninterrupted one
     ck = tmp_path / "sweep.csv"
-    full = sweep_range(SweepConfig(3, 100_000, checkpoint_path=ck))
+    full = sweep_range(3, 100_000, checkpoint=ck)
     assert full == records
     lines = ck.read_text().splitlines()
     ck.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
-    resumed = sweep_range(SweepConfig(3, 100_000, checkpoint_path=ck))
+    resumed = sweep_range(3, 100_000, checkpoint=ck)
     assert resumed == records
 
     assert sweep_elapsed < 300

@@ -13,11 +13,11 @@ ROOT = Path(__file__).resolve().parent.parent
 PUBLIC = {
     "INT128_MAX", "INT128_MIN", "CheckedOverflowError", "ConstructionError",
     "DEFAULT_K_BOUND", "Fraction", "Method", "OracleBudgetError",
-    "Status", "SweepConfig", "SweepRecord", "Th3Params", "TwoTermSolution",
+    "Status", "SweepRecord", "Th3Params", "TwoTermSolution",
     "UnitTriple", "checked_add", "checked_mul", "classify_hard", "divisors", "emit_report", "enumerate_three_term", "enumerate_two_term",
     "factorize", "first_solution", "is_prime", "lift_by_cofactor", "load_report",
     "make_triple", "path_3mod4", "path_even", "path_mod3_0",
-    "path_mod3_2", "path_prime_13mod24", "record_to_obj",
+    "path_mod3_2", "path_prime_13mod24",
     "solve", "solve_two_term", "sweep_range", "theorem2_dispatch",
     "theorem3_search", "theorem4_search", "unit_sum",
 }
@@ -30,7 +30,7 @@ def library_example(doc):
 
 
 def test_all_is_the_public_set():
-    assert len(fourovern.__all__) == len(PUBLIC) == 40
+    assert len(fourovern.__all__) == len(PUBLIC) == 38
     assert set(fourovern.__all__) == PUBLIC
     for name in fourovern.__all__:
         assert hasattr(fourovern, name), name

@@ -11,7 +11,7 @@ import pytest
 import fourovern
 import fourovern.sweep as sweep_mod
 from fourovern.cli import cli_main
-from fourovern.sweep import SweepConfig, emit_report, record_to_obj, sweep_range
+from fourovern.sweep import CSV_COLUMNS, emit_report, sweep_range
 
 
 class TestDecompose:
@@ -93,17 +93,21 @@ class TestOracle:
             ["oracle", "4", "73", "--all"],
             ["oracle", "4", "73", "--count"],
             ["decompose", "10000849", "--k-bound", "1"],
+            ["decompose", "10000849", "--k-bound", "1", "--json"],
         ],
-        ids=["all", "count", "decompose"],
+        ids=["all", "count", "decompose", "decompose-json"],
     )
     def test_exhausted_budget_exits_three(self, capsys, monkeypatch, argv):
         # each query spends more than 1,000 units: 1,295 for 4/73, and
         # 2,967 for the oracle fall-through of 10000849 at --k-bound 1
         monkeypatch.setattr(fourovern.oracle, "ORACLE_BUDGET", 1000)
         assert cli_main(argv) == 3
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert "oracle budget of 1000 work units exhausted on 4/" in err
+        if "--json" in argv:  # the Error record is still printed
+            assert json.loads(out) == {"n": 10000849, "method": None, "x1": None, "x2": None,
+                                       "x3": None, "status": "Error", "hard": True}
 
     def test_all_with_limit(self, capsys):
         assert cli_main(["oracle", "4", "24", "--all", "--limit", "3"]) == 0
@@ -156,7 +160,7 @@ def reference_3000(tmp_path_factory):
     fresh checkpoint of that range."""
     d = tmp_path_factory.mktemp("reference")
     ck = d / "ck.csv"
-    records = sweep_range(SweepConfig(3, 3000, checkpoint_path=ck))
+    records = sweep_range(3, 3000, checkpoint=ck)
     emit_report(records, d / "r.csv")
     return {"checkpoint": ck.read_bytes(), "csv": (d / "r.csv").read_bytes()}
 
@@ -171,8 +175,8 @@ class TestStreamedSweep:
     def test_report_bytes(self, tmp_path, capsys, reference_3000, workers, resume):
         ck, report = tmp_path / "ck", tmp_path / "out.csv"
         if resume == "json-lines":  # a checkpoint in the JSON-lines form of earlier versions
-            ck.write_text("".join(json.dumps(record_to_obj(r), separators=(",", ":")) + "\n"
-                                  for r in sweep_range(SweepConfig(3, 1000))))
+            objs = (dict(zip(CSV_COLUMNS, sweep_mod._row(r))) for r in sweep_range(3, 1000))
+            ck.write_text("".join(json.dumps(o, separators=(",", ":")) + "\n" for o in objs))
         elif resume:  # a checkpoint cut mid-line, as a kill leaves it
             ck.write_bytes(reference_3000["checkpoint"][:70_001])
         argv = ["sweep", "3", "3000", "--workers", workers,

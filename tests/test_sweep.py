@@ -1,9 +1,11 @@
 import csv
 import hashlib
 import io
+import json
 import tracemalloc
 import warnings
 from collections import Counter, deque
+from concurrent.futures import Future
 from fractions import Fraction as PyFraction
 
 import pytest
@@ -14,16 +16,16 @@ import fourovern.core_arith as core_arith
 import fourovern.sweep as sweep_mod
 
 from fourovern.sweep import (
-    SweepConfig,
     SweepRecord,
     Status,
     classify_hard,
     emit_report,
     load_report,
-    record_to_obj,
     solve,
     sweep_range,
 )
+from fourovern.cli import cli_main
+from fourovern.construct_th2 import theorem2_dispatch
 from fourovern.triples import Method
 
 # the first n that solve() attributes to each Method; n = 2 is NoDistinctSolution
@@ -141,7 +143,7 @@ class TestSerialization:
         assert path.read_text() == "2,NoDistinctSolution,,,,NoDistinctSolution,false\n"
 
     def test_round_trip(self, tmp_path):
-        records = sweep_range(SweepConfig(3, 80))
+        records = sweep_range(3, 80)
         path = tmp_path / "r.csv"
         emit_report(records, path)
         assert load_report(path) == records
@@ -153,6 +155,27 @@ class TestSerialization:
     def test_unwritable_report_path(self, tmp_path):
         with pytest.raises(OSError):
             emit_report([solve(7)], tmp_path / "missing" / "r.csv")
+
+
+class TestImmutability:
+    """A record and a triple are values: assigning any field raises and
+    leaves the field as it was."""
+
+    @pytest.mark.parametrize("name", ["n", "method", "x1", "x2", "x3", "status", "hard", "detail"])
+    def test_sweep_record(self, name):
+        rec = solve(2)  # the one record with a detail
+        before = getattr(rec, name)
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 0)
+        assert getattr(rec, name) == before
+
+    @pytest.mark.parametrize("name", ["x1", "x2", "x3", "target_num", "target_den", "method"])
+    def test_unit_triple(self, name):
+        triple, _ = theorem2_dispatch(7)
+        before = getattr(triple, name)
+        with pytest.raises(AttributeError):
+            setattr(triple, name, 0)
+        assert getattr(triple, name) == before
 
 
 def reference_obj(rec):
@@ -175,14 +198,16 @@ class TestFormatters:
     @pytest.mark.parametrize(
         "n", sorted(FIRST_N_OF_METHOD.values()) + [2**66], ids=lambda n: f"n={n}"
     )
-    def test_record_of_every_method(self, n):
+    def test_record_of_every_method(self, n, capsys):
         rec = solve(n)
         if n == 2**66:
             assert rec.status is Status.ERROR
         else:
             assert FIRST_N_OF_METHOD[rec.method] == n
         row, obj = sweep_mod._row(rec), reference_obj(rec)
-        assert record_to_obj(rec) == obj
+        code = cli_main(["decompose", str(n), "--json"])
+        assert code == {Status.SOLVED: 0, Status.NO_DISTINCT_SOLUTION: 1, Status.ERROR: 3}[rec.status]
+        assert capsys.readouterr().out == json.dumps(obj) + "\n"
         assert sweep_mod._csv_line(row) == reference_csv_line(obj)
         assert sweep_mod._row_from_line(reference_csv_line(obj)) == row
 
@@ -247,10 +272,10 @@ class TestRecordChecks:
 
     def test_tampered_checkpoint_resumes_like_fresh(self, tmp_path):
         fresh_ck, ck = tmp_path / "fresh.csv", tmp_path / "ck.csv"
-        fresh = sweep_range(SweepConfig(3, 20, checkpoint_path=fresh_ck))
+        fresh = sweep_range(3, 20, checkpoint=fresh_ck)
         ck.write_bytes(fresh_ck.read_bytes().replace(b"7,Mod4Is3,3,6,14,", b"7,Mod4Is3,3,6,15,", 1))
         assert ck.read_bytes() != fresh_ck.read_bytes()
-        resumed = sweep_range(SweepConfig(3, 20, checkpoint_path=ck))
+        resumed = sweep_range(3, 20, checkpoint=ck)
         assert ck.read_bytes() == fresh_ck.read_bytes()
         a, b = tmp_path / "fresh.csv", tmp_path / "resumed.csv"
         emit_report(fresh, a)
@@ -260,25 +285,54 @@ class TestRecordChecks:
 
 
 class TestSweepRange:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SweepConfig(5, 3)
-        with pytest.raises(ValueError):
-            SweepConfig(1, 10)
-        with pytest.raises(ValueError):
-            SweepConfig(3, 10, workers=0)
+    def test_config_validation(self, tmp_path):
+        # raised at the call, before the checkpoint is opened
+        ck = tmp_path / "ck.csv"
+        for args in [(5, 3), (1, 10), (3, 10, 0)]:  # start > end, start < 2, no workers
+            with pytest.raises(ValueError):
+                sweep_mod.sweep_rows(*args, checkpoint=ck)
+            with pytest.raises(ValueError):
+                sweep_range(*args, checkpoint=ck)
+        assert not ck.exists()
         with pytest.raises(TypeError):
-            SweepConfig(3, 10, k_bound=3)  # sweeps always use solve's default bound
+            sweep_mod.sweep_rows(3, 10, k_bound=3)  # sweeps always use solve's default bound
+
+    @pytest.mark.parametrize("cpus, pools", [(None, []), (1, []), (2, [2])])
+    def test_workers_capped_at_cpu_count(self, monkeypatch, cpus, pools):
+        # the pool is asked for at most os.cpu_count() processes (one
+        # worker solves in this process); the stand-in pool runs each block
+        # here, so nothing forks whatever the count asked for
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", InlinePool)
+        assert sweep_range(3, 1000, workers=100_000) == sweep_range(3, 1000)
+        assert started == pools
 
     def test_one_record_per_n_in_order(self):
-        records = sweep_range(SweepConfig(3, 120))
+        records = sweep_range(3, 120)
         assert [r.n for r in records] == list(range(3, 121))
         for rec in records:
             validated(rec)
 
     def test_workers_do_not_change_output(self, tmp_path):
-        solo = sweep_range(SweepConfig(3, 200, workers=1))
-        multi = sweep_range(SweepConfig(3, 200, workers=3))
+        solo = sweep_range(3, 200, workers=1)
+        multi = sweep_range(3, 200, workers=3)
         assert solo == multi
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         emit_report(solo, a)
@@ -287,24 +341,24 @@ class TestSweepRange:
 
     def test_checkpoint_resume_matches_uninterrupted(self, tmp_path):
         ck = tmp_path / "sweep.csv"
-        uninterrupted = sweep_range(SweepConfig(3, 300))
-        full = sweep_range(SweepConfig(3, 300, checkpoint_path=ck))
+        uninterrupted = sweep_range(3, 300)
+        full = sweep_range(3, 300, checkpoint=ck)
         assert full == uninterrupted
 
         # simulate a kill at a record boundary: keep only the first 120 lines
         lines = ck.read_text().splitlines()
         assert len(lines) == 298
         ck.write_text("\n".join(lines[:120]) + "\n")
-        resumed = sweep_range(SweepConfig(3, 300, checkpoint_path=ck))
+        resumed = sweep_range(3, 300, checkpoint=ck)
         assert resumed == uninterrupted
         assert len(ck.read_text().splitlines()) == 298
 
     def test_checkpoint_tolerates_torn_tail(self, tmp_path):
         ck = tmp_path / "sweep.csv"
-        want = sweep_range(SweepConfig(3, 60, checkpoint_path=ck))
+        want = sweep_range(3, 60, checkpoint=ck)
         with open(ck, "a") as fh:
             fh.write("61,Mod3Is0,21,")  # torn write
-        again = sweep_range(SweepConfig(3, 60, checkpoint_path=ck))
+        again = sweep_range(3, 60, checkpoint=ck)
         assert again == want
 
     @pytest.mark.parametrize("tail", ['{"n":1001,"meth', "complete", "5\n", "string-hard"])
@@ -312,9 +366,9 @@ class TestSweepRange:
         # a tail that is not a whole newline-terminated record as the writer
         # emits it is cut before appending, so repeated resumes neither keep
         # it, glue records onto it, nor drop the records written after it
-        fresh = sweep_range(SweepConfig(3, 3000))
+        fresh = sweep_range(3, 3000)
         ck = tmp_path / "sweep.csv"
-        sweep_range(SweepConfig(3, 1000, checkpoint_path=ck))
+        sweep_range(3, 1000, checkpoint=ck)
         line = sweep_mod._csv_line(sweep_mod._row(solve(1001)))
         if tail == "complete":
             tail = line[:-1]
@@ -323,23 +377,23 @@ class TestSweepRange:
         with open(ck, "a") as fh:
             fh.write(tail)
         for _ in range(2):
-            assert sweep_range(SweepConfig(3, 3000, checkpoint_path=ck)) == fresh
+            assert sweep_range(3, 3000, checkpoint=ck) == fresh
         emit_report(fresh, tmp_path / "fresh.csv")
         assert ck.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
     def test_resume_recomputes_from_a_gap(self, tmp_path):
         # the run ends at the gap: 57 and every row after it are solved again
         fresh_ck, ck = tmp_path / "fresh.csv", tmp_path / "ck.csv"
-        fresh = sweep_range(SweepConfig(3, 200, checkpoint_path=fresh_ck))
+        fresh = sweep_range(3, 200, checkpoint=fresh_ck)
         line = sweep_mod._csv_line(sweep_mod._row(solve(57))).encode()
         ck.write_bytes(fresh_ck.read_bytes().replace(line, b"", 1))
         assert ck.read_bytes() != fresh_ck.read_bytes()
-        assert sweep_range(SweepConfig(3, 200, checkpoint_path=ck)) == fresh
+        assert sweep_range(3, 200, checkpoint=ck) == fresh
         assert ck.read_bytes() == fresh_ck.read_bytes()
 
     def test_resume_holds_no_checkpoint_rows(self, tmp_path, monkeypatch):
         ck = tmp_path / "sweep.csv"
-        deque(sweep_mod.sweep_rows(SweepConfig(3, 30000, checkpoint_path=ck)), maxlen=0)
+        deque(sweep_mod.sweep_rows(3, 30000, checkpoint=ck), maxlen=0)
 
         def boom(n, k_bound=999):
             raise AssertionError("solve called despite complete checkpoint")
@@ -347,7 +401,7 @@ class TestSweepRange:
         monkeypatch.setattr(sweep_mod, "solve", boom)
         tracemalloc.start()
         try:
-            rows = sweep_mod.sweep_rows(SweepConfig(3, 30000, checkpoint_path=ck))
+            rows = sweep_mod.sweep_rows(3, 30000, checkpoint=ck)
             last = deque(rows, maxlen=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -360,12 +414,12 @@ class TestSweepRange:
         # a tail of megabytes with no newline is read a bounded line at a
         # time, found not to be a record, and cut
         fresh_ck, ck = tmp_path / "fresh.csv", tmp_path / "ck.csv"
-        deque(sweep_mod.sweep_rows(SweepConfig(3, 3000, checkpoint_path=fresh_ck)), maxlen=0)
+        deque(sweep_mod.sweep_rows(3, 3000, checkpoint=fresh_ck), maxlen=0)
         prefix = b"".join(fresh_ck.read_bytes().splitlines(keepends=True)[:1000])
         ck.write_bytes(prefix + b"7" * (5 << 20))
         tracemalloc.start()
         try:
-            deque(sweep_mod.sweep_rows(SweepConfig(3, 3000, checkpoint_path=ck)), maxlen=0)
+            deque(sweep_mod.sweep_rows(3, 3000, checkpoint=ck), maxlen=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -374,14 +428,14 @@ class TestSweepRange:
 
     def test_checkpoint_skips_recomputation(self, tmp_path, monkeypatch):
         ck = tmp_path / "sweep.csv"
-        sweep_range(SweepConfig(3, 50, checkpoint_path=ck))
+        sweep_range(3, 50, checkpoint=ck)
         import fourovern.sweep as sweep_mod
 
         def boom(n, k_bound=999):
             raise AssertionError("solve called despite complete checkpoint")
 
         monkeypatch.setattr(sweep_mod, "solve", boom)
-        records = sweep_range(SweepConfig(3, 50, checkpoint_path=ck))
+        records = sweep_range(3, 50, checkpoint=ck)
         assert [r.n for r in records] == list(range(3, 51))
 
     def test_unwritable_checkpoint_fails_before_compute(self, tmp_path, monkeypatch):
@@ -392,16 +446,16 @@ class TestSweepRange:
 
         monkeypatch.setattr(sweep_mod, "solve", boom)
         with pytest.raises(OSError):
-            sweep_range(SweepConfig(3, 50, checkpoint_path=tmp_path / "no" / "dir.csv"))
+            sweep_range(3, 50, checkpoint=tmp_path / "no" / "dir.csv")
 
     def test_method_histogram(self):
-        records = sweep_range(SweepConfig(3, 100))
+        records = sweep_range(3, 100)
         hist = Counter(r.method.value for r in records)
         assert sum(hist.values()) == 98
         assert hist["Even"] == 49
 
     def test_hard_class_never_uses_th2_paths(self):
-        records = sweep_range(SweepConfig(3, 4000))
+        records = sweep_range(3, 4000)
         closed_forms = {
             Method.EVEN, Method.MOD3_IS_2, Method.MOD3_IS_0,
             Method.MOD4_IS_3, Method.PRIME_LIFT, Method.PRIME_13_MOD_24,
