@@ -44,7 +44,6 @@ from .sweep import (
     Status,
     classify_hard,
     emit_report,
-    load_report,
     solve,
     sweep_range,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "first_solution",
     "is_prime",
     "lift_by_cofactor",
-    "load_report",
     "make_triple",
     "path_3mod4",
     "path_even",

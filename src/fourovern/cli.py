@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: decompose, two-term, oracle, sweep, stats.  Exit codes:
-0 success, 1 proven non-existence (decompose), 2 usage error, 3 I/O,
-overflow or oracle-budget error.  Every oracle query, and so every
-decompose, is bounded by oracle.ORACLE_BUDGET.  A decompose that ends in
-an error prints one "error: ..." line to stderr, with --json too.  sweep
-starts at most os.cpu_count() worker processes, whatever --workers asks.
+0 success, 1 proven non-existence (decompose), 2 usage error, 3 I/O error
+or one of sweep.BOUNDED_ERRORS (overflow, oracle budget, primality range),
+which prints one "error: ..." line to stderr, with decompose --json too.
+Every oracle query, and so every decompose, is bounded by
+oracle.ORACLE_BUDGET.  sweep starts at most os.cpu_count() worker
+processes, whatever --workers asks.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from contextlib import closing
 from pathlib import Path
 
 from .construct_th34 import DEFAULT_K_BOUND
-from .core_arith import CheckedOverflowError, is_prime
-from .oracle import OracleBudgetError, enumerate_three_term
+from .core_arith import is_prime
+from .oracle import enumerate_three_term
 from .sweep import (
+    BOUNDED_ERRORS,
     CSV_COLUMNS,
     Status,
     _report_rows,
@@ -199,10 +201,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except CheckedOverflowError as exc:
-        print(f"arithmetic overflow: {exc}", file=sys.stderr)
-        return 3
-    except OracleBudgetError as exc:
+    except BOUNDED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -43,6 +43,10 @@ class CheckedOverflowError(OverflowError):
         self.operands = (a, b)
 
 
+class PrimalityRangeError(ValueError):
+    """A value to be proven prime is past the witnesses' proven bound."""
+
+
 def checked_add(a: int, b: int) -> int:
     """a + b, or CheckedOverflowError if the sum leaves the working range."""
     r = a + b
@@ -204,7 +208,7 @@ def _factor(n: int) -> tuple[tuple[int, int], ...]:
             e += 1
         pairs.append((p, e))
     if m >= _MR_EXACT_BOUND:
-        raise ValueError(
+        raise PrimalityRangeError(
             f"factorize: cofactor {m} of {n} exceeds the deterministic primality range"
         )
     large: list[int] = []
@@ -232,10 +236,10 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     is trial-divided only while p*p <= gcd, and what is left of it is
     prime.  Only those primes are divided out of n.  Pollard-Brent rho
     then splits whatever cofactor is left, with is_prime's fixed
-    witnesses deciding when a piece is prime.  Raises ValueError, naming
-    the value, when that cofactor is at or above the witnesses' proven
-    bound (about 3.3e24) rather than guess; every n below that bound is
-    factored.
+    witnesses deciding when a piece is prime.  Raises PrimalityRangeError,
+    a ValueError naming the value, when that cofactor is at or above the
+    witnesses' proven bound (about 3.3e24) rather than guess; every n below
+    that bound is factored.
     """
     if n < 2:
         raise ValueError(f"factorize expects n >= 2, got {n}")
@@ -266,7 +270,8 @@ def is_prime(n: int) -> bool:
 
     Trial division by primes up to 1000 settles everything below 1000**2;
     beyond that the fixed witness set decides exactly up to its proven
-    bound (well past 64 bits).  Larger inputs raise rather than guess.
+    bound (well past 64 bits).  Larger inputs raise PrimalityRangeError
+    rather than guess.
     """
     if n < 2:
         return False
@@ -276,7 +281,7 @@ def is_prime(n: int) -> bool:
     if n < (_TRIAL_BOUND + 1) ** 2:
         return True
     if n >= _MR_EXACT_BOUND:
-        raise ValueError(f"is_prime: {n} exceeds the deterministic witness range")
+        raise PrimalityRangeError(f"is_prime: {n} exceeds the deterministic witness range")
     return _miller_rabin(n)
 
 

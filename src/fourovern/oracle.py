@@ -5,7 +5,7 @@ arithmetic, so it can falsify them.  For each x in the exact window
 n/a < x <= 3n/a the residual reduces to p/q, and every completion
 1/y + 1/z = p/q corresponds via (p*y - q)(p*z - q) = q*q to a divisor
 d <= q of q*q with d = -q (mod p).  Work is therefore bounded by divisor
-counts rather than magnitudes.
+counts rather than magnitudes, and only the divisors up to q are built.
 
 Every query is bounded: trial divisions and divisor candidates are
 counted against ORACLE_BUDGET, and a query that would exceed it raises
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from math import gcd as _math_gcd
 
-from .core_arith import checked_mul
 from .triples import Method, UnitTriple, make_triple
 
 # work units (trial divisions plus divisor candidates) one query may spend:
@@ -64,25 +63,30 @@ def _factor_counted(m: int, budget: _Budget, exponents: dict[int, int]) -> dict[
 
 
 def _divisors_of_square(exponents: dict[int, int], g: int, budget: _Budget) -> list[int]:
-    """Sorted divisors of q*q, where q is the product of p**e over exponents,
-    divided by g.  Their number is spent before the list is built."""
+    """Sorted divisors up to q of q*q, where q is the product of p**e over
+    exponents, divided by g.  The number of all divisors of q*q is spent
+    before the list is built; only about half of them are kept."""
+    q = 1
     powers = []
     count = 1
     for p, e in exponents.items():
         while g % p == 0:
             g //= p
             e -= 1
-        powers.append((p, 2 * e + 1))
+        q *= p**e
+        powers.append((p, 2 * e))
         count *= 2 * e + 1
     budget.spend(count)
     divs = [1]
     for p, k in powers:
         grown = []
-        pk = 1
-        for _ in range(k):
-            for d in divs:
-                grown.append(d * pk)
-            pk *= p
+        for d in divs:
+            # a product above q stays above q however it grows
+            for _ in range(k + 1):
+                if d > q:
+                    break
+                grown.append(d)
+                d *= p
         divs = grown
     divs.sort()
     return divs
@@ -91,14 +95,14 @@ def _divisors_of_square(exponents: dict[int, int], g: int, budget: _Budget) -> l
 def _completions(p: int, q: int, divisors: list[int], xmin: int, strict: bool):
     """Yield (y, z), y ascending, with 1/y + 1/z == p/q and y >= xmin.
 
-    gcd(p, q) == 1 is assumed, and divisors are the sorted divisors of q*q.
-    d runs over those with d = -q (mod p) and d <= q, giving y = (d + q)/p
+    gcd(p, q) == 1 is assumed, and divisors are the sorted divisors up to q
+    of q*q.  d runs over those with d = -q (mod p), giving y = (d + q)/p
     and z = (q*q/d + q)/p; the cofactor side is automatically congruent, so
     z is always integral.
     """
-    qq = checked_mul(q, q)
+    qq = q * q
     for d in divisors:
-        if d > q or (strict and d == q):
+        if strict and d == q:
             break
         if (d + q) % p:
             continue
@@ -129,7 +133,7 @@ def enumerate_three_term(
     out: list[UnitTriple] = []
     for x in range(n // a + 1, 3 * n // a + 1):
         rnum = a * x - n  # > 0 inside the window
-        rden = checked_mul(n, x)
+        rden = n * x
         g = _math_gcd(rnum, rden)
         # q = n*x/g is factored from n's exponents and x's, never directly
         exponents = _factor_counted(x, tracker, dict(n_exponents))

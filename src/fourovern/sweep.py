@@ -4,7 +4,8 @@ solve() composes the constructive machinery cheapest-first: closed-form
 paths and prime lifting, then the divisor-pair search, then the bounded
 witness search, then the exhaustive oracle.  n = 2 genuinely has no
 decomposition into three distinct unit fractions and is reported as such,
-not as an error.
+not as an error; an n it cannot settle is an Error record, not an
+exception, so it returns a record for every n >= 2.
 
 sweep_rows(start, end, workers, checkpoint) streams one row per n, ordered
 by n and byte-identical regardless of worker count, each with its CSV line,
@@ -32,11 +33,15 @@ from typing import Generator, Iterable, Iterator, TextIO
 
 from .construct_th2 import theorem2_dispatch
 from .construct_th34 import DEFAULT_K_BOUND, theorem3_search, theorem4_search
-from .core_arith import CheckedOverflowError, factorize
+from .core_arith import CheckedOverflowError, PrimalityRangeError, factorize
 from .oracle import OracleBudgetError, first_solution
 from .triples import Method, UnitTriple
 
 CSV_COLUMNS = ("n", "method", "x1", "x2", "x3", "status", "hard")
+
+# overflow, an exhausted oracle budget, a cofactor past the primality range:
+# what solve turns into an Error record, and the CLI into exit 3
+BOUNDED_ERRORS = (CheckedOverflowError, OracleBudgetError, PrimalityRangeError)
 
 _FSYNC_EVERY = 1000
 _BLOCK_SIZE = 128
@@ -93,13 +98,16 @@ def solve(n: int, k_bound: int = DEFAULT_K_BOUND) -> SweepRecord:
     """Solve 4/n with the cheapest applicable construction.
 
     Fallback chain: theorem2_dispatch, theorem4_search, theorem3_search,
-    then the oracle.  Overflow and an exhausted oracle budget become a
-    Status.ERROR record rather than an exception so sweeps stay total.
+    then the oracle.  A BOUNDED_ERRORS error becomes a Status.ERROR record
+    whose detail names the failed operation, so every n >= 2 gets a record
+    and sweeps stay total; if hardness was not yet decided, hard is false
+    and detail says so.
     """
     if n < 2:
         raise ValueError(f"solve expects n >= 2, got {n}")
-    hard = classify_hard(n)
+    hard = None
     try:
+        hard = classify_hard(n)
         dispatched = theorem2_dispatch(n)
         if dispatched is not None:
             triple, method = dispatched
@@ -112,8 +120,9 @@ def solve(n: int, k_bound: int = DEFAULT_K_BOUND) -> SweepRecord:
             if found is not None:
                 return _solved(n, found[0], Method.THEOREM_3_SEARCH, hard)
         triple = first_solution(4, n)
-    except (CheckedOverflowError, OracleBudgetError) as exc:
-        return SweepRecord(n, None, None, None, None, Status.ERROR, hard, detail=str(exc))
+    except BOUNDED_ERRORS as exc:
+        detail = str(exc) if hard is not None else f"{exc}; hardness not decided"
+        return SweepRecord(n, None, None, None, None, Status.ERROR, bool(hard), detail=detail)
     if triple is None:
         return SweepRecord(
             n, Method.NO_DISTINCT_SOLUTION, None, None, None,
@@ -153,40 +162,28 @@ _METHODS_OF_STATUS = {
 }
 
 
-def _checked_row(n, method, x1, x2, x3, status, hard) -> tuple:
-    """The row with these fields if solve can emit it, else ValueError.
+def _row_from_line(line: str) -> tuple:
+    """The row whose _csv_line is exactly line, if solve can emit it; else
+    ValueError, so " 7", "+3" or "07" is rejected too.
 
-    Every record has an int n >= 2, a status tag and a bool hard.  A Solved
-    record has int parts 0 < x1 < x2 < x3 with 4/n = 1/x1 + 1/x2 + 1/x3,
-    checked exactly as 4*x1*x2*x3 == n*(x1*x2 + x1*x3 + x2*x3), and a
-    solving method tag; a NoDistinctSolution record has that method tag and
-    no parts; an Error record has neither a method nor parts.
+    Every record has n >= 2 and a status tag.  A Solved record has parts
+    0 < x1 < x2 < x3 with 4/n = 1/x1 + 1/x2 + 1/x3, checked exactly as
+    4*x1*x2*x3 == n*(x1*x2 + x1*x3 + x2*x3), and a solving method tag; a
+    NoDistinctSolution record has that method tag and no parts; an Error
+    record has neither a method nor parts.
     """
-    try:
-        ok = method in _METHODS_OF_STATUS[status]
-    except (KeyError, TypeError):  # not a status tag, or a tag that cannot be one
-        ok = False
-    ok = ok and type(n) is int and n >= 2 and type(hard) is bool
+    n, method, x1, x2, x3, status, hard = line[:-1].split(",")
+    n, method, hard = int(n), method or None, hard == "true"
+    x1, x2, x3 = int(x1) if x1 else None, int(x2) if x2 else None, int(x3) if x3 else None
+    ok = method in _METHODS_OF_STATUS.get(status, ()) and n >= 2
     if status == _SOLVED:
-        ok = (ok and type(x1) is type(x2) is type(x3) is int and 0 < x1 < x2 < x3
+        ok = (ok and None not in (x1, x2, x3) and 0 < x1 < x2 < x3
               and 4 * x1 * x2 * x3 == n * (x1 * x2 + x1 * x3 + x2 * x3))
     else:
         ok = ok and x1 is x2 is x3 is None
     if not ok:
-        raise ValueError(
-            f"n={n!r}, method {method!r}, parts ({x1!r}, {x2!r}, {x3!r}), hard={hard!r}:"
-            f" not a {status!r} record"
-        )
-    return (n, method, x1, x2, x3, status, hard)
-
-
-def _row_from_line(line: str) -> tuple:
-    """The row whose _csv_line is exactly line, if solve can emit it (see
-    _checked_row); else ValueError, so " 7", "+3" or "07" is rejected too."""
-    n, method, x1, x2, x3, status, hard = line[:-1].split(",")
-    row = _checked_row(int(n), method or None, int(x1) if x1 else None,
-                       int(x2) if x2 else None, int(x3) if x3 else None, status,
-                       hard == "true")
+        raise ValueError(f"{line[:-1]!r} is not a {status!r} record")
+    row = (n, method, x1, x2, x3, status, hard)
     written = _csv_line(row)
     if written != line:
         raise ValueError(f"{line!r} is not written as {written!r}")
@@ -285,11 +282,6 @@ def _report_rows(source: str | Path) -> Iterator[tuple[tuple, str]]:
                                  f" n={last} of row {i - 1}")
             last = row[0]
             yield row, text
-
-
-def load_report(source: str | Path) -> list[SweepRecord]:
-    """Read a report or a checkpoint back as records (see _report_rows)."""
-    return [_record_of(row) for row, _ in _report_rows(source)]
 
 
 # ---------------------------------------------------------------------------

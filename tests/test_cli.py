@@ -13,6 +13,9 @@ import fourovern.sweep as sweep_mod
 from fourovern.cli import cli_main
 from fourovern.sweep import CSV_COLUMNS, emit_report, sweep_range
 
+# no prime factor up to 1000, and past the range in which factorize proves primality
+PAST_PRIMALITY_RANGE = 4835703278458516698824713
+
 
 class TestDecompose:
     def test_solved(self, capsys):
@@ -55,6 +58,11 @@ class TestDecompose:
     def test_bad_n_exits_two(self, capsys):
         assert cli_main(["decompose", "1"]) == 2
 
+    def test_factoring_failure_exits_three(self, capsys):
+        # a cofactor past factorize's primality range is an error, not a usage error
+        assert cli_main(["decompose", str(PAST_PRIMALITY_RANGE)]) == 3
+        assert capsys.readouterr().err.startswith("error: factorize: cofactor ")
+
 
 class TestTwoTerm:
     def test_solved(self, capsys):
@@ -68,6 +76,10 @@ class TestTwoTerm:
     def test_composite_inapplicable(self, capsys):
         assert cli_main(["two-term", "5", "8"]) == 0
         assert "does not apply" in capsys.readouterr().out
+
+    def test_overflow_exits_three(self, capsys):
+        assert cli_main(["two-term", "1", str(PAST_PRIMALITY_RANGE)]) == 3
+        assert capsys.readouterr().err.startswith("error: mul(")
 
 
 class TestOracle:
@@ -143,6 +155,13 @@ class TestSweep:
 
     def test_usage_error_start_after_end(self, capsys):
         assert cli_main(["sweep", "9", "3"]) == 2
+
+    def test_factoring_failures_are_error_rows(self, tmp_path, capsys):
+        ck = tmp_path / "ck.csv"
+        n = PAST_PRIMALITY_RANGE
+        assert cli_main(["sweep", str(n - 3), str(n + 1), "--checkpoint", str(ck)]) == 0
+        rows = [f"{m},,,,,Error,false\n" for m in range(n - 3, n + 2)]
+        assert capsys.readouterr().out == ck.read_text() == "".join(rows)
 
     def test_unwritable_report_fails_fast(self, tmp_path, capsys):
         bad = tmp_path / "missing" / "out.csv"

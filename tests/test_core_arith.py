@@ -10,6 +10,7 @@ from fourovern.core_arith import (
     INT128_MAX,
     CheckedOverflowError,
     Fraction,
+    PrimalityRangeError,
     checked_add,
     checked_mul,
     divisors,
@@ -171,6 +172,13 @@ class TestFactorize:
         n = (10**9 + 7) ** 2 * (10**9 + 9)
         with pytest.raises(ValueError, match=str(n)):
             factorize(n)
+
+    def test_range_errors_are_typed(self):
+        # one ValueError subclass, which solve turns into an Error record
+        with pytest.raises(PrimalityRangeError, match="^factorize: cofactor "):
+            factorize((10**9 + 7) ** 2 * (10**9 + 9))
+        with pytest.raises(PrimalityRangeError, match="^is_prime: "):
+            is_prime(4835703278458516698824713)
 
     def test_small_factors_bring_cofactor_into_range(self):
         n = 2**10 * 997**5 * (2**61 - 1)

@@ -15,6 +15,37 @@ from fourovern.triples import Method
 from naive import enumerate_three_term_naive
 
 
+# first_solution(4, n) for each hard n up to 1e7 that solve() leaves to the oracle
+ORACLE_FALLTHROUGHS = {
+    409: (104, 6084, 4976712),
+    577: (145, 27890, 466683370),
+    5569: (1394, 1109029, 506446965082),
+    9601: (2405, 1216930, 898749610),
+    23929: (5984, 20455879, 172300032464032),
+    83449: (20865, 158287584, 7066783219510560),
+    102001: (25502, 371604238, 5894072603377009),
+    167281: (41822, 999432400, 8547744544807600),
+    181729: (45435, 750623380, 95350615320589980),
+    230281: (57573, 1205271564, 832653423088452),
+    282481: (70622, 2849915499, 1610093960146038),
+    329617: (82405, 9054029630, 49185271515496732510),
+    332929: (83234, 3958716220, 95060688219305980),
+    404449: (101114, 5842208034, 4594610820845080737),
+    712321: (178086, 5515408644, 580144146837102244),
+    1134241: (283561, 107208837478, 147988002039369068966),
+    1435009: (358757, 27095764414, 263196764772919075294),
+    1724209: (431054, 106175312334, 1517545743058385604837),
+    1726201: (431556, 32389248801, 74547138226046668),
+    3292969: (823247, 156560918136, 1609313465928),
+    4160641: (1040162, 618248666268, 78694702746297218608284),
+    5212561: (1303143, 617519307252, 7640493702695576827004),
+    6416329: (1604084, 1470332955400, 92275323157963134874600),
+    7183201: (1795805, 678927805270, 309193868009723271718),
+    7976809: (1994209, 589172525604, 40070666179701612),
+    8813281: (2203321, 6472829035494, 447304438314532718777574),
+}
+
+
 def tuples(triples):
     return [t.values for t in triples]
 
@@ -84,6 +115,19 @@ class TestEnumerate:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_only_divisors_up_to_q_are_built(self):
+        # of the 226,981 divisors of q*q for q = 30**30, the 113,491 up to q;
+        # all of them are spent
+        q = 30**30
+        budget = oracle._Budget(1, 1)
+        got = oracle._divisors_of_square({2: 30, 3: 30, 5: 30}, 1, budget)
+        want = sorted(d for d in (2**i * 3**j * 5**k for i in range(61) for j in range(61)
+                                  for k in range(61)) if d <= q)
+        assert len(got) == 113_491 and got == want
+        assert budget.remaining == oracle.ORACLE_BUDGET - 61**3
+        # q = 2**2 * 3 / 6 = 2 after dividing out g = 6
+        assert oracle._divisors_of_square({2: 2, 3: 1}, 6, budget) == [1, 2]
+
     def test_exhausted_budget_is_an_error_record(self, monkeypatch):
         # solve(10000849, k_bound=1) falls through to the oracle, which
         # spends 2,967 units finding its triple
@@ -114,6 +158,11 @@ class TestFirstAndCount:
         assert first_solution(4, 73).values == (20, 210, 30660)
         assert first_solution(4, 3).values == (1, 4, 12)
         assert first_solution(4, 2) is None
+
+    def test_oracle_fallthroughs(self):
+        for n, values in ORACLE_FALLTHROUGHS.items():
+            assert first_solution(4, n).values == values
+            assert sum(PyFraction(1, x) for x in values) == PyFraction(4, n)
 
     def test_counts(self):
         assert len(enumerate_three_term(4, 2, distinct_only=True)) == 0

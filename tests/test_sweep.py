@@ -9,7 +9,7 @@ from concurrent.futures import Future
 from fractions import Fraction as PyFraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fourovern.core_arith as core_arith
@@ -20,7 +20,6 @@ from fourovern.sweep import (
     Status,
     classify_hard,
     emit_report,
-    load_report,
     solve,
     sweep_range,
 )
@@ -34,6 +33,9 @@ FIRST_N_OF_METHOD = {
     Method.MOD4_IS_3: 7, Method.MOD3_IS_0: 9, Method.PRIME_13_MOD_24: 13,
     Method.PRIME_LIFT: 25, Method.THEOREM_3_SEARCH: 73, Method.THEOREM_4: 97,
 }
+
+# no prime factor up to 1000, and past the range in which factorize proves primality
+PAST_PRIMALITY_RANGE = 4835703278458516698824713
 
 # sha256 of the CSV report of solve(n) over the hard class up to 1e6
 HARD_CLASS_CSV_SHA256 = "479d964ef866ccdf52233990d78558ed63844debbd6b8ff827cb12949ee3bff3"
@@ -117,6 +119,28 @@ class TestSolve:
         assert rec.method is None
         assert rec.detail and "128-bit" in rec.detail
 
+    @pytest.mark.parametrize("n, decided", [(PAST_PRIMALITY_RANGE, False),
+                                            (PAST_PRIMALITY_RANGE + 36, True)])
+    def test_factoring_failure_becomes_error_record(self, n, decided):
+        # n = 1 (mod 24) fails in classify_hard, before hardness is decided;
+        # n = 13 (mod 24) is not hard, and fails in theorem2_dispatch
+        rec = solve(n)
+        assert rec.status is Status.ERROR and rec.method is None and not rec.hard
+        assert rec.detail.startswith(f"factorize: cofactor {n} of {n} exceeds")
+        assert rec.detail.endswith("; hardness not decided") is not decided
+
+    # half the draws are n = 1 (mod 24) past 2**81, which factorize often cannot factor
+    @given(st.one_of(st.integers(2, 2**127 - 1),
+                     st.integers(2**77, 2**122).map(lambda k: 24 * k + 1)))
+    @settings(max_examples=200, deadline=None)
+    def test_returns_a_record_below_2_127(self, n):
+        rec = solve(n)
+        assert rec.n == n
+        if rec.status is Status.SOLVED:
+            validated(rec)
+        elif rec.status is Status.ERROR:
+            assert rec.detail and rec.method is None
+
     def test_below_two_rejected(self):
         with pytest.raises(ValueError):
             solve(1)
@@ -146,7 +170,7 @@ class TestSerialization:
         records = sweep_range(3, 80)
         path = tmp_path / "r.csv"
         emit_report(records, path)
-        assert load_report(path) == records
+        assert [sweep_mod._record_of(row) for row, _ in sweep_mod._report_rows(path)] == records
 
     def test_unsorted_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -191,6 +215,22 @@ def reference_csv_line(obj):
     return buf.getvalue()
 
 
+def is_record(row):
+    """Whether solve can emit row, decided with the stdlib Fraction: a
+    Solved row has 4/n = 1/x1 + 1/x2 + 1/x3 with 0 < x1 < x2 < x3 and a
+    solving method, a NoDistinctSolution row that method and no parts, and
+    an Error row neither a method nor parts."""
+    n, method, x1, x2, x3, status, hard = row
+    if n < 2:
+        return False
+    if status != Status.SOLVED.value:
+        want = None if status == Status.ERROR.value else Method.NO_DISTINCT_SOLUTION.value
+        return method == want and x1 is None
+    return (x1 is not None and method not in (None, Method.NO_DISTINCT_SOLUTION.value)
+            and 0 < x1 < x2 < x3
+            and PyFraction(1, x1) + PyFraction(1, x2) + PyFraction(1, x3) == PyFraction(4, n))
+
+
 class TestFormatters:
     """The direct formatter against the stdlib csv writer, and the CSV line
     parser against the formatter."""
@@ -218,19 +258,19 @@ class TestFormatters:
         status=st.sampled_from([s.value for s in Status]),
         hard=st.booleans(),
     )
+    @example(n=7, method="Mod4Is3", parts=(3, 6, 14), status="Solved", hard=False)
+    @example(n=7, method="Mod4Is3", parts=(3, 6, 15), status="Solved", hard=False)
     def test_random_rows(self, n, method, parts, status, hard):
         row = (n, method, *(parts or (None, None, None)), status, hard)
         obj = dict(zip(sweep_mod.CSV_COLUMNS, row))
         line = reference_csv_line(obj)
         assert sweep_mod._csv_line(row) == line
-        # the line parser accepts exactly the rows the record check accepts
-        try:
-            checked = sweep_mod._checked_row(*row)
-        except ValueError:
+        # the line parser accepts exactly the rows solve can emit
+        if is_record(row):
+            assert sweep_mod._row_from_line(line) == row
+        else:
             with pytest.raises(ValueError, match="not a"):
                 sweep_mod._row_from_line(line)
-        else:
-            assert sweep_mod._row_from_line(line) == checked == row
 
 
 class TestRecordChecks:
