@@ -70,16 +70,17 @@ def _cmd_two_term(args: argparse.Namespace) -> int:
     if sol is not None:
         print(f"{args.q}/{args.p} = 1/{sol.x1} + 1/{sol.x2}")
         return 0
-    if args.p > 1 and is_prime(args.p):
-        print(
-            f"no distinct two-term decomposition of {args.q}/{args.p} exists:"
-            f" {args.p} is prime and {args.p} + 1 is not divisible by {args.q}"
-        )
+    if args.p == 1:
+        reason = "with x1 < x2, 1/x1 + 1/x2 is at most 3/2 and never 1, so never a whole number"
+    elif is_prime(args.p):
+        reason = f"{args.p} is prime and {args.p} + 1 is not divisible by {args.q}"
     else:
         print(
             f"the closed-form constructor does not apply to {args.q}/{args.p};"
             " for composite denominators that does not rule out a solution"
         )
+        return 0
+    print(f"no distinct two-term decomposition of {args.q}/{args.p} exists: {reason}")
     return 0
 
 

@@ -25,7 +25,8 @@ product of those primes up to 1000 finds it when it is small.  If there
 is none, the odd part has at most one prime above 1000 (the least
 product of two is 1009**2): dividing out the small primes, all 1 mod 4,
 by gcds leaves 1 or that prime, which is congruent to the odd part mod
-4.  Larger sums are factored.
+4.  Larger sums are factored.  core_arith's _screens() holds the primes
+and products, the same ones factorize screens with.
 
 In theorem3_search's scan, let u be the part of kk coprime to s.  No
 prime of u divides a, a divisor of s, so kk | a*t needs u | t, that is
@@ -47,10 +48,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import merge
 from itertools import chain
-from math import gcd, prod
+from math import gcd
 from typing import Iterator, Sequence
 
-from .core_arith import _TRIAL_BOUND, _factor, checked_mul, divisors, primes_up_to
+from .core_arith import (
+    _ONE_LARGE_PRIME, _coprime_part, _divisors_from, _factor, _screens, checked_mul, divisors,
+)
 from .triples import ConstructionError, Method, UnitTriple, make_triple
 
 DEFAULT_K_BOUND = 999
@@ -80,36 +83,23 @@ def _construct(n: int, w: Th3Params, method: Method) -> UnitTriple:
 def _m_candidates(s: int) -> tuple[int, ...]:
     """Divisors of s congruent to 3 mod 4, ascending.
 
-    Only odd divisors can be 3 mod 4, so only those are built, from the
-    odd primes of s.  A product of primes 1 mod 4 is 1 mod 4, so an s with
-    no prime factor 3 mod 4 returns () without building any.  s is factored
-    past factorize's cache.  The small cache here serves theorem3_search,
-    which may ask for a large sum right after _least_m factored it; sums
-    of different n almost never recur.
+    Only odd divisors can be 3 mod 4, so only the odd part of s is
+    factored, past factorize's cache, and only its divisors are built.  A
+    product of primes 1 mod 4 is 1 mod 4, so an s with no prime factor
+    3 mod 4 returns () without building any.
+
+    The small cache holds sums of the current n; sums of different n
+    almost never recur.  Measured: no hits over the hard n <= 1e6 (8,246
+    misses) or over [3, 1e5] (592).  Over 24,000 n from each of 1e12, 1e15
+    and 1e18: 273 hits to 515 misses, of which 79 are theorem3_search
+    asking about a sum theorem4_search had factored, 84 theorem4_search
+    meeting one of its own sums again (delta + d is d + delta), and 110
+    theorem3_search doing so (_m_in_class asks after _least_m has).
     """
-    pairs = _factor(s) if s > 1 else ()
-    if pairs and pairs[0][0] == 2:
-        pairs = pairs[1:]
+    pairs = _factor(s // (s & -s))
     if not any(p % 4 == 3 for p, _ in pairs):
         return ()
-    divs = [1]
-    for p, e in pairs:
-        grown = divs
-        for _ in range(e):
-            grown = [d * p for d in grown]
-            divs = divs + grown
-    divs.sort()
-    return tuple([m for m in divs if m % 4 == 3])
-
-
-# the primes <= _TRIAL_BOUND that are 3 mod 4, their product, and the
-# product of all odd primes <= _TRIAL_BOUND; built on first use
-_primes_3_mod_4: list[int] = []
-_product_3_mod_4 = 0
-_product_odd = 0
-
-# an odd number below this, freed of its primes <= _TRIAL_BOUND, is 1 or a prime
-_ONE_LARGE_PRIME = (_TRIAL_BOUND + 1) ** 2
+    return tuple([m for m in _divisors_from(pairs) if m % 4 == 3])
 
 
 def _least_m(s: int) -> int | None:
@@ -118,19 +108,14 @@ def _least_m(s: int) -> int | None:
     When the odd part of s is below 1001**2, gcds settle it (see the module
     docstring); a larger s is factored.
     """
-    global _primes_3_mod_4, _product_3_mod_4, _product_odd
     odd = s // (s & -s)
     if odd >= _ONE_LARGE_PRIME:
         ms = _m_candidates(s)
         return ms[0] if ms else None
-    if not _product_odd:
-        odd_primes = primes_up_to(_TRIAL_BOUND)[1:]
-        _primes_3_mod_4 = [p for p in odd_primes if p % 4 == 3]
-        _product_3_mod_4 = prod(_primes_3_mod_4)
-        _product_odd = prod(odd_primes)
-    g = gcd(odd, _product_3_mod_4)
+    _, odd_product, primes_3_mod_4, product_3_mod_4 = _screens()
+    g = gcd(odd, product_3_mod_4)
     if g > 1:  # g is squarefree: its least prime is <= isqrt(g), or g is prime
-        for p in _primes_3_mod_4:
+        for p in primes_3_mod_4:
             if p * p > g:
                 break
             if g % p == 0:
@@ -138,11 +123,7 @@ def _least_m(s: int) -> int | None:
         return g
     if odd % 4 == 1:
         return None
-    g = gcd(odd, _product_odd)
-    while g > 1:
-        odd //= g
-        g = gcd(odd, g)
-    return odd
+    return _coprime_part(odd, odd_product)
 
 
 # The most values a class of cofactors may hold for _m_in_class to scan it:
@@ -159,12 +140,7 @@ def _m_in_class(s: int, kk: int) -> Sequence[int]:
     scanned, largest first, and s is not factored.  Otherwise every m comes
     from _m_candidates, unless _least_m finds none.
     """
-    u = kk
-    g = gcd(u, s)
-    while g > 1:
-        u //= g
-        g = gcd(u, g)
-    q = 4 * u
+    q = 4 * _coprime_part(kk, s)
     odd = s // (s & -s)
     low = -odd % q
     top = odd // (q - 1)

@@ -13,25 +13,30 @@ primes dividing n, so only those few are divided out.  Any larger
 cofactor is split with Pollard-Brent rho, using the primality test to
 stop; rho's constants are fixed, so results and running times are
 reproducible.  Both are exact; neither is probabilistic.
+
+_screens() owns the odd primes up to 1000 and their products, which
+factorize, is_prime and construct_th34's least-m screen read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd, isqrt, prod
 from typing import Sequence
 
 INT128_MAX = (1 << 127) - 1
 INT128_MIN = -(1 << 127)
 
-# Deterministic Miller-Rabin witnesses; exact for every n below this bound
-# (comfortably past 64-bit), which is where trial division stops being viable.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witnesses, the primes up to 41; exact below the
+# least strong pseudoprime to all of them (Sorenson & Webster, Math. Comp. 2017).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
 
 _TRIAL_BOUND = 1000  # small primes tried before Miller-Rabin kicks in
+# an odd number below this, freed of its primes <= _TRIAL_BOUND, is 1 or a prime
+_ONE_LARGE_PRIME = (_TRIAL_BOUND + 1) ** 2
 
 
 class CheckedOverflowError(OverflowError):
@@ -111,11 +116,29 @@ def primes_up_to(limit: int) -> list[int]:
     return _primes[: bisect_right(_primes, limit)]
 
 
+@cache
+def _screens() -> tuple[tuple[int, ...], int, tuple[int, ...], int]:
+    """The odd primes <= _TRIAL_BOUND and their product, then those of them
+    that are 3 mod 4 and their product; built once, on first use."""
+    odd = tuple(primes_up_to(_TRIAL_BOUND)[1:])
+    odd_3_mod_4 = tuple(p for p in odd if p % 4 == 3)
+    return odd, prod(odd), odd_3_mod_4, prod(odd_3_mod_4)
+
+
+def _coprime_part(a: int, b: int) -> int:
+    """The largest divisor of a that is coprime to b."""
+    g = gcd(a, b)
+    while g > 1:
+        a //= g
+        g = gcd(a, g)
+    return a
+
+
 # ---------------------------------------------------------------------------
 # factorization, divisors, primality
 
 def _miller_rabin(n: int) -> bool:
-    """Miller-Rabin against the fixed witnesses; exact for odd 1000**2 < n < bound."""
+    """Miller-Rabin against the fixed witnesses; exact for odd 41 < n < bound."""
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -168,7 +191,7 @@ def _rho_factor(n: int) -> int:
 
 def _split(m: int, out: list[int]) -> None:
     """Append the prime factors of m, which has none <= _TRIAL_BOUND, to out."""
-    if m < (_TRIAL_BOUND + 1) ** 2 or _miller_rabin(m):
+    if m < _ONE_LARGE_PRIME or _miller_rabin(m):
         out.append(m)
         return
     d = _rho_factor(m)
@@ -176,24 +199,16 @@ def _split(m: int, out: list[int]) -> None:
     _split(m // d, out)
 
 
-# product of the odd primes <= _TRIAL_BOUND, and those primes; built on first use
-_screen_product = 0
-_screen_primes: list[int] = []
-
-
 def _factor(n: int) -> tuple[tuple[int, int], ...]:
-    """factorize(n) for n >= 2, without the cache."""
-    global _screen_product, _screen_primes
-    if not _screen_product:
-        _screen_primes = primes_up_to(_TRIAL_BOUND)[1:]
-        _screen_product = prod(_screen_primes)
+    """factorize(n) for n >= 1, without the cache."""
+    odd_primes, odd_product, _, _ = _screens()
     low = n & -n
     pairs: list[tuple[int, int]] = [(2, low.bit_length() - 1)] if low > 1 else []
     m = n // low
     # g is the squarefree product of the odd primes <= _TRIAL_BOUND dividing m
-    g = gcd(m, _screen_product)
+    g = gcd(m, odd_product)
     small: list[int] = []
-    for p in _screen_primes:
+    for p in odd_primes:
         if p * p > g:
             break
         if g % p == 0:
@@ -246,40 +261,40 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return _factor_pairs(n)
 
 
+def _divisors_from(pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """All divisors of the number with these (prime, exponent) pairs, ascending."""
+    divs = [1]
+    for p, e in pairs:
+        grown = divs
+        for _ in range(e):
+            grown = [d * p for d in grown]
+            divs = divs + grown
+    divs.sort()
+    return divs
+
+
 def divisors(n: int) -> list[int]:
     """All divisors of n, ascending (so starting at 1 and ending at n)."""
     if n < 1:
         raise ValueError(f"divisors expects n >= 1, got {n}")
-    if n == 1:
-        return [1]
-    divs = [1]
-    for p, e in _factor_pairs(n):
-        grown = []
-        pk = 1
-        for _ in range(e + 1):
-            for d in divs:
-                grown.append(d * pk)
-            pk *= p
-        divs = grown
-    divs.sort()
-    return divs
+    return _divisors_from(_factor_pairs(n) if n > 1 else ())
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test.
 
-    Trial division by primes up to 1000 settles everything below 1000**2;
-    beyond that the fixed witness set decides exactly up to its proven
-    bound (well past 64 bits).  Larger inputs raise PrimalityRangeError
-    rather than guess.
+    Trial division by the primes up to 1000 settles every n below 997**2
+    and every n with such a factor; the fixed witnesses decide the rest
+    exactly up to their proven bound (well past 64 bits).  Larger inputs
+    raise PrimalityRangeError rather than guess.
     """
-    if n < 2:
-        return False
-    for p in primes_up_to(min(_TRIAL_BOUND, isqrt(n))):
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    for p in _screens()[0]:
+        if p * p > n:
+            return True
         if n % p == 0:
             return n == p
-    if n < (_TRIAL_BOUND + 1) ** 2:
-        return True
     if n >= _MR_EXACT_BOUND:
         raise PrimalityRangeError(f"is_prime: {n} exceeds the deterministic witness range")
     return _miller_rabin(n)

@@ -39,8 +39,9 @@ def solve_two_term(q: int, p: int) -> TwoTermSolution | None:
     Returns None when q does not divide p + 1.  For prime p that None is a
     proof that no distinct solution exists; for composite p it only means
     this constructor does not apply.  p = 1 collapses to a repeated part
-    and also yields None.  A pair whose exact sum is not q/p raises
-    ConstructionError.
+    and also yields None, again a proof: with x1 < x2, 1/x1 + 1/x2 is at
+    most 3/2 and never 1, so never the whole number q/1.  A pair whose
+    exact sum is not q/p raises ConstructionError.
     """
     if q < 1 or p < 1:
         raise ValueError(f"q and p must be positive, got ({q}, {p})")

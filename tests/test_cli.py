@@ -73,6 +73,15 @@ class TestTwoTerm:
         assert cli_main(["two-term", "3", "7"]) == 0
         assert "no distinct two-term decomposition" in capsys.readouterr().out
 
+    # q/1 is a whole number, and two distinct unit fractions sum to at most
+    # 3/2 and never to 1, so no pair exists; 1 is not a composite denominator
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_denominator_one_non_existence(self, capsys, q):
+        assert cli_main(["two-term", str(q), "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"no distinct two-term decomposition of {q}/1 exists:")
+        assert "composite" not in out
+
     def test_composite_inapplicable(self, capsys):
         assert cli_main(["two-term", "5", "8"]) == 0
         assert "does not apply" in capsys.readouterr().out

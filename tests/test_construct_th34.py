@@ -245,6 +245,13 @@ class TestMInClass:
         assert [m for m in brute_m_list(s) if m % (4 * kk) == 4 * kk - 1] == want
         assert list(_m_in_class(s, kk)) == want
 
+    # kk = 1 leaves every m: the class of cofactors is long for all but the
+    # smallest s, so the sums with odd parts past 1001**2 come from
+    # _m_candidates after _least_m has found one m, or from neither
+    @pytest.mark.parametrize("s,want", KNOWN_M_LISTS)
+    def test_long_class_is_every_m(self, s, want):
+        assert list(_m_in_class(s, 1)) == list(want)
+
 
 def unpruned_theorem3_search(n, k_bound, m_list=brute_m_list):
     """The full delta, k, m scan that theorem3_search prunes: every odd k.

@@ -11,6 +11,8 @@ from fourovern.core_arith import (
     CheckedOverflowError,
     Fraction,
     PrimalityRangeError,
+    _coprime_part,
+    _screens,
     checked_add,
     checked_mul,
     divisors,
@@ -186,6 +188,32 @@ class TestFactorize:
         assert factorize(n) == ((2, 10), (997, 5), (2**61 - 1, 1))
 
 
+class TestScreens:
+    def test_matches_a_sieve(self):
+        flags = bytearray(b"\x01") * 1001
+        for p in range(2, 32):
+            if flags[p]:
+                flags[p * p :: p] = b"\x00" * ((1000 - p * p) // p + 1)
+        odd = tuple(p for p in range(3, 1001) if flags[p])
+        odd_3_mod_4 = tuple(p for p in odd if p % 4 == 3)
+        assert odd[:4] == (3, 5, 7, 11) and odd[-1] == 997 and len(odd) == 167
+        assert _screens() == (odd, math.prod(odd), odd_3_mod_4, math.prod(odd_3_mod_4))
+
+    @given(st.integers(1, 10**12), st.integers(1, 10**12))
+    @example(2**40 * 3**5, 6)
+    @example(7**9, 7)
+    @example(1009**2, math.prod(_screens()[0]))
+    @example(12, 1)
+    @settings(max_examples=300, deadline=None)
+    def test_coprime_part(self, a, b):
+        got = _coprime_part(a, b)
+        assert a % got == 0
+        assert math.gcd(got, b) == 1
+        # every prime of what was taken out divides b
+        rest = a // got
+        assert rest == 1 or all(b % p == 0 for p, _ in factorize(rest))
+
+
 class TestIsPrime:
     @pytest.mark.parametrize(
         "n,want",
@@ -216,6 +244,15 @@ class TestIsPrime:
     def test_large_64bit_values(self):
         assert is_prime(2**61 - 1)  # Mersenne prime
         assert not is_prime(2**62 - 1)
+
+    def test_strong_pseudoprime_to_the_primes_up_to_37(self):
+        # the least one (Sorenson & Webster 2017), below the proven bound:
+        # Miller-Rabin by the primes up to 37 alone calls it prime
+        p, q = 399165290221, 798330580441
+        n = p * q
+        assert n == 318665857834031151167461 and n < 3_317_044_064_679_887_385_961_981
+        assert is_prime(p) and is_prime(q) and not is_prime(n)
+        assert factorize(n) == ((p, 1), (q, 1))
 
 
 class TestUnitSum:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from fourovern import core_arith
 from fourovern.construct_th2 import theorem2_dispatch
 from fourovern.core_arith import factorize, is_prime
-from fourovern.sweep import Status, classify_hard, solve
+from fourovern.sweep import Status, _csv_line, _row, classify_hard, solve
 
 FIRST_HARD_PRIME_PAST_1E18 = 10**18 + 9
 SLOW_SEMIPRIME = (2**31 - 1) * (2**31 + 11)
@@ -65,6 +65,29 @@ class TestLargeN:
 
     def test_sieve_not_grown(self, solved):
         assert core_arith._sieve_limit <= max(solved.sieve_before, 1 << 16)
+
+
+# The report line of every n in [1e12, 1e12 + 2000) that solve() gives to a
+# witness search.  Only these reach _least_m's factoring branch, and the
+# sums theorem3_search asks about after theorem4_search factored them.
+HARD_ROWS_NEAR_1E12 = [
+    "1000000000177,Theorem3Search,250003897830,16035000002838195,50000779574850137983182,Solved,true",
+    "1000000000537,Theorem4,285714285868,2000000001074,285714286021428571511116,Solved,true",
+    "1000000000561,Theorem4,260869565364,6000000003366,260869565510347826169204,Solved,true",
+    "1000000000609,Theorem4,252427184620,26000000015834,252427184773728155433580,Solved,true",
+    "1000000000729,Theorem4,285839544268,2000000001458,652000000475308,Solved,true",
+    "1000000000921,Theorem4,254237288370,15000000013815,254237288604152542588770,Solved,true",
+    "1000000001641,Theorem3Search,263157895170,5000000008205,52631579120368421194794,Solved,true",
+    "1000000001761,Theorem4,260870018820,6000000010566,150180000264466980,Solved,true",
+    "1000000001881,Theorem4,285714286252,2000000003762,285714286789428572440012,Solved,true",
+    "1000000001953,Theorem3Search,250000000490,50000000195650000191394,125000000489125000478485,Solved,true",
+]
+
+
+@pytest.mark.parametrize("line", HARD_ROWS_NEAR_1E12)
+def test_witness_rows_near_1e12(line):
+    n = int(line.split(",")[0])
+    assert _csv_line(_row(solve(n))) == line + "\n"
 
 
 @settings(max_examples=500, deadline=None)

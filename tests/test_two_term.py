@@ -27,8 +27,10 @@ class TestSolveTwoTerm:
         assert solve_two_term(1, 4).values == (5, 20)
 
     def test_p_one_collapses(self):
-        assert solve_two_term(1, 1) is None
-        assert solve_two_term(2, 1) is None
+        # and that None is a proof: no q/1 is a distinct two-term sum
+        for q in range(1, 8):
+            assert solve_two_term(q, 1) is None
+            assert enumerate_two_term(q, 1) == []
 
     @pytest.mark.parametrize("q,p", [(0, 5), (3, 0), (-1, 2)])
     def test_rejects_nonpositive(self, q, p):
