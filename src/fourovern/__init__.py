@@ -1,6 +1,6 @@
 """Three distinct unit fractions summing to 4/n.
 
-Constructive residue-class paths, divisor/odd-k witness searches, and an
+Closed forms fixed by residue class, divisor/odd-k witness searches, and an
 independent exhaustive oracle, composed into a verified solving pipeline
 with range sweeps, checkpointing and CSV reports.
 """
@@ -19,15 +19,7 @@ from .core_arith import (
 )
 from .triples import ConstructionError, Method, UnitTriple, make_triple
 from .two_term import TwoTermSolution, enumerate_two_term, solve_two_term
-from .construct_th2 import (
-    lift_by_cofactor,
-    path_3mod4,
-    path_even,
-    path_mod3_0,
-    path_mod3_2,
-    path_prime_13mod24,
-    theorem2_dispatch,
-)
+from .construct_th2 import theorem2_dispatch
 from .construct_th34 import (
     DEFAULT_K_BOUND,
     Th3Params,
@@ -74,13 +66,7 @@ __all__ = [
     "factorize",
     "first_solution",
     "is_prime",
-    "lift_by_cofactor",
     "make_triple",
-    "path_3mod4",
-    "path_even",
-    "path_mod3_0",
-    "path_mod3_2",
-    "path_prime_13mod24",
     "solve",
     "solve_two_term",
     "sweep_range",

@@ -1,7 +1,7 @@
 """Per-n solving pipeline, range sweeps with checkpoint/resume, and reports.
 
-solve() composes the constructive machinery cheapest-first: closed-form
-paths and prime lifting, then the divisor-pair search, then the bounded
+solve() composes the constructive machinery cheapest-first: the closed
+forms and prime lifting, then the divisor-pair search, then the bounded
 witness search, then the exhaustive oracle.  n = 2 genuinely has no
 decomposition into three distinct unit fractions and is reported as such,
 not as an error; an n it cannot settle is an Error record, not an

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .core_arith import Fraction, checked_mul, unit_sum
+from .core_arith import checked_mul
 from .triples import ConstructionError
 
 
@@ -51,10 +51,10 @@ def solve_two_term(q: int, p: int) -> TwoTermSolution | None:
     x2 = checked_mul(p, x1)
     if x1 == x2:  # only p == 1
         return None
-    sol = TwoTermSolution(x1, x2)
-    if unit_sum(sol.values) != Fraction(q, p):
+    # q/p = 1/x1 + 1/x2 exactly when q*x1*x2 == p*(x1 + x2)
+    if q * x1 * x2 != p * (x1 + x2):
         raise ConstructionError(f"1/{x1} + 1/{x2} does not sum to {q}/{p}")
-    return sol
+    return TwoTermSolution(x1, x2)
 
 
 def enumerate_two_term(q: int, p: int, distinct_only: bool = True) -> list[TwoTermSolution]:

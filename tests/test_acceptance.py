@@ -9,7 +9,7 @@ import hashlib
 import time
 from fractions import Fraction as PyFraction
 
-from fourovern.construct_th2 import path_3mod4, path_prime_13mod24, theorem2_dispatch
+from fourovern.construct_th2 import theorem2_dispatch
 from fourovern.construct_th34 import theorem3_search, theorem4_search
 from fourovern.core_arith import Fraction, factorize, unit_sum
 from fourovern.oracle import enumerate_three_term, first_solution
@@ -38,8 +38,8 @@ def test_criterion_1_constructive_formula_suite():
     unit_sum([2, 10])
     checks = [
         ((2, 10), 3, 5, lambda: solve_two_term(3, 5).values),
-        ((3, 6, 14), 4, 7, lambda: path_3mod4(7).values),
-        ((4, 26, 52), 4, 13, lambda: path_prime_13mod24(13).values),
+        ((3, 6, 14), 4, 7, lambda: theorem2_dispatch(7)[0].values),
+        ((4, 26, 52), 4, 13, lambda: theorem2_dispatch(13)[0].values),
     ]
     worst = 0.0
     for values, num, den, construct in checks:

@@ -15,9 +15,7 @@ PUBLIC = {
     "DEFAULT_K_BOUND", "Fraction", "Method", "OracleBudgetError",
     "Status", "SweepRecord", "Th3Params", "TwoTermSolution",
     "UnitTriple", "checked_add", "checked_mul", "classify_hard", "divisors", "emit_report", "enumerate_three_term", "enumerate_two_term",
-    "factorize", "first_solution", "is_prime", "lift_by_cofactor",
-    "make_triple", "path_3mod4", "path_even", "path_mod3_0",
-    "path_mod3_2", "path_prime_13mod24",
+    "factorize", "first_solution", "is_prime", "make_triple",
     "solve", "solve_two_term", "sweep_range", "theorem2_dispatch",
     "theorem3_search", "theorem4_search", "unit_sum",
 }
@@ -30,7 +28,7 @@ def library_example(doc):
 
 
 def test_all_is_the_public_set():
-    assert len(fourovern.__all__) == len(PUBLIC) == 37
+    assert len(fourovern.__all__) == len(PUBLIC) == 31
     assert set(fourovern.__all__) == PUBLIC
     for name in fourovern.__all__:
         assert hasattr(fourovern, name), name

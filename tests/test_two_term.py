@@ -42,8 +42,7 @@ class TestSolveTwoTerm:
         src = str(Path(fourovern.__file__).resolve().parent.parent)
         code = (
             "import fourovern.two_term as tt\n"
-            "from fourovern.core_arith import Fraction\n"
-            "tt.unit_sum = lambda xs: Fraction(1, 1)\n"
+            "tt.checked_mul = lambda a, b: a * b + 1\n"  # x2 = 11 in place of 10
             "tt.solve_two_term(3, 5)\n"
         )
         proc = subprocess.run(
@@ -51,7 +50,7 @@ class TestSolveTwoTerm:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
         )
         assert proc.returncode == 1
-        assert "fourovern.triples.ConstructionError: 1/2 + 1/10 does not sum to 3/5" in proc.stderr
+        assert "fourovern.triples.ConstructionError: 1/2 + 1/11 does not sum to 3/5" in proc.stderr
 
 
 class TestEnumerateTwoTerm:
